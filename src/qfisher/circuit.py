@@ -132,22 +132,30 @@ def derivative_state(circuit: EncodingCircuit, theta, j) -> np.ndarray:
 
 
 def tangent_frame(circuit: EncodingCircuit, theta) -> tuple[np.ndarray, np.ndarray]:
-    """Evolved state plus all tangent vectors in one suffix-product sweep.
+    """Evolved state plus all tangent vectors in one forward vector sweep.
 
     Returns ``(state, tangents)`` with ``tangents[:, j]`` equal to
-    derivative_state(circuit, theta, j). One pass costs O(M) matrix
-    products instead of the O(M^2) of M independent conjugations.
+    derivative_state(circuit, theta, j). A D x (M+1) block holds the state
+    and the tangents built so far. Gates act in application order through
+    the cached eigendecompositions A_m = V_m diag(a_m) V_m^dag: gate m
+    rotates every column by V_m diag(exp(i theta_m a_m)) V_m^dag, then
+    appends tangent m as i A_m psi_m, with psi_m the state just after gate
+    m. Later gates rotate each tangent like the state. No D x D product is
+    formed, so the sweep costs O(M^2 D^2).
     """
     values = as_param_vector(circuit, theta)
-    tildes = [None] * circuit.n_params
-    suffix = np.eye(circuit.dim, dtype=complex)
-    for m in range(circuit.n_params - 1, -1, -1):
-        conj = suffix @ circuit.generators[m] @ suffix.conj().T
-        tildes[m] = (conj + conj.conj().T) / 2.0
-        suffix = suffix @ circuit.unitary(m, values[m])
-    state = suffix @ circuit.initial_state
-    tangents = np.column_stack([1j * (tilde @ state) for tilde in tildes])
-    return state, tangents
+    size = circuit.n_params
+    block = np.empty((circuit.dim, size + 1), dtype=complex, order="F")
+    block[:, 0] = circuit.initial_state
+    for m in range(size):
+        eig = circuit.generator_eig(m)
+        vecs = eig.eigenvectors
+        coeffs = np.empty((circuit.dim, m + 2), dtype=complex, order="F")
+        coeffs[:, : m + 1] = vecs.conj().T @ block[:, : m + 1]
+        coeffs[:, : m + 1] *= np.exp(1j * values[m] * eig.eigenvalues)[:, None]
+        coeffs[:, m + 1] = 1j * eig.eigenvalues * coeffs[:, 0]
+        block[:, : m + 2] = vecs @ coeffs
+    return block[:, 0], block[:, 1:]
 
 
 def finite_difference_state(circuit: EncodingCircuit, theta, j, step: float = FD_STEP) -> np.ndarray:
@@ -165,9 +173,3 @@ def finite_difference_state(circuit: EncodingCircuit, theta, j, step: float = FD
     backward = values.copy()
     backward[j] -= step
     return (evolve(circuit, forward) - evolve(circuit, backward)) / (2.0 * step)
-
-
-def spectral_gap(generator) -> float:
-    """Spread of the spectrum: largest minus smallest eigenvalue."""
-    eigenvalues = herm_eig(generator, "generator").eigenvalues
-    return float(eigenvalues[-1] - eigenvalues[0])

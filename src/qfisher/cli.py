@@ -28,11 +28,12 @@ from .distill import distillation_report, kraus_from_estimate, t_sweep
 from .errors import NumericError, ValidationError
 from .estimator import run_crb_study
 from .fisher import (
+    curvature_from_tensor,
     geometric_quantumness,
+    geometric_tensor,
     learnability_interval,
+    qfim_from_tensor,
     qfim_pure,
-    scalar_risk,
-    uhlmann_curvature,
 )
 from .kirkwood import analyze_pair
 from .scenario import ScenarioConfig, build_circuit, load_scenario
@@ -81,8 +82,9 @@ def _risk_line(label: str, risk) -> None:
 
 def cmd_qfim(args) -> int:
     config, circuit = _scenario_circuit(args)
-    qfim = qfim_pure(circuit, config.theta_true)
-    curvature = uhlmann_curvature(circuit, config.theta_true)
+    tensor = geometric_tensor(circuit, config.theta_true)
+    qfim = qfim_from_tensor(tensor)
+    curvature = curvature_from_tensor(tensor)
     print_vector("theta_true", config.theta_true)
     print_matrix("qfim", qfim)
     print_matrix("uhlmann_curvature", curvature)

@@ -14,17 +14,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, as_param_vector, evolve
+from .circuit import EncodingCircuit, as_param_vector, evolve, tangent_frame
 from .errors import NumericError, ValidationError
 from .fisher import (
     POSTSELECTION_PROB_FLOOR,
     WeightedRisk,
+    _postselected_tensor_from_frame,
+    _tensor_from_frame,
     curvature_from_tensor,
     postselected_geometric_tensor,
     qfim_from_tensor,
-    qfim_pure,
+    require_effect,
     scalar_risk,
-    uhlmann_curvature,
     validate_povm,
 )
 
@@ -143,16 +144,20 @@ def distillation_report(
 
     ``regime_ratio`` sum(delta^2)/t^2 gauges whether the guess error delta
     is small on the scale where the 1/t^2 boost is trustworthy; callers
-    should warn when it exceeds about 0.1.
+    should warn when it exceeds about 0.1. The plain and the postselected
+    tensors both come from one tangent frame at theta_true.
     """
     theta_true = as_param_vector(circuit, theta_true, "theta_true")
     plan = kraus_from_estimate(circuit, theta_guess, t)
     delta = plan.theta_guess - theta_true
     regime_ratio = float(np.sum(delta * delta)) / plan.transmissivity**2
 
-    qfim_plain = qfim_pure(circuit, theta_true)
-    curvature_plain = uhlmann_curvature(circuit, theta_true)
-    tensor, success_prob = postselected_geometric_tensor(circuit, theta_true, plan.effect)
+    effect = require_effect(plan.effect, circuit.dim)
+    state, tangents = tangent_frame(circuit, theta_true)
+    plain = _tensor_from_frame(state, tangents)
+    qfim_plain = qfim_from_tensor(plain)
+    curvature_plain = curvature_from_tensor(plain)
+    tensor, success_prob = _postselected_tensor_from_frame(state, tangents, effect)
     qfim_exact = qfim_from_tensor(tensor)
     curvature_exact = curvature_from_tensor(tensor)
     qfim_predicted = qfim_plain / plan.transmissivity**2

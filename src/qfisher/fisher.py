@@ -92,7 +92,10 @@ def geometric_tensor(circuit: EncodingCircuit, theta) -> np.ndarray:
     Entry (i, j) is <d_i psi|d_j psi> - <d_i psi|psi><psi|d_j psi> built
     from the tangent vectors of the evolved state.
     """
-    state, tangents = tangent_frame(circuit, theta)
+    return _tensor_from_frame(*tangent_frame(circuit, theta))
+
+
+def _tensor_from_frame(state: np.ndarray, tangents: np.ndarray) -> np.ndarray:
     gram = tangents.conj().T @ tangents
     overlaps = state.conj() @ tangents
     return gram - np.outer(overlaps.conj(), overlaps)
@@ -108,7 +111,14 @@ def postselected_geometric_tensor(
     (1/p) <d_i psi|F|d_j psi> - (1/p^2) <d_i psi|F|psi><psi|F|d_j psi>.
     """
     mat = require_effect(effect, circuit.dim)
-    state, tangents = tangent_frame(circuit, theta)
+    return _postselected_tensor_from_frame(*tangent_frame(circuit, theta), mat)
+
+
+def _postselected_tensor_from_frame(
+    state: np.ndarray, tangents: np.ndarray, mat: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """Postselected tensor from a frame; ``mat`` must already have passed
+    require_effect."""
     success_prob = float(np.real(state.conj() @ mat @ state))
     if success_prob < POSTSELECTION_PROB_FLOOR:
         raise NumericError(

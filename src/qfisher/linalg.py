@@ -1,8 +1,8 @@
 """Dense complex-matrix primitives shared by every other module.
 
-Hermitian eigendecomposition, unitary exponentials, guarded inversion and
-the spectral norm. All functions are pure: inputs are validated, never
-mutated, and identical inputs give identical outputs.
+Hermitian eigendecomposition, guarded inversion and the spectral norm.
+All functions are pure: inputs are validated, never mutated, and
+identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -76,20 +76,6 @@ def herm_eig(matrix, name: str = "matrix") -> EigenDecomposition:
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition of {name} failed: {exc}") from exc
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
-
-
-def unitary_exp(generator, theta: float) -> np.ndarray:
-    """exp(i * theta * A) for Hermitian A, computed in the eigenbasis of A.
-
-    The eigenbasis route keeps the result unitary to eigensolver accuracy,
-    and the same decomposition is what eigenprojector construction needs.
-    """
-    theta = float(theta)
-    if not np.isfinite(theta):
-        raise ValidationError("theta must be finite")
-    eig = herm_eig(generator, "generator")
-    phases = np.exp(1j * theta * eig.eigenvalues)
-    return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
 
 
 def invert(matrix, tol: float = INVERT_RTOL) -> np.ndarray:

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from qfisher import (
     EncodingCircuit,
@@ -10,12 +13,16 @@ from qfisher import (
     derivative_state,
     evolve,
     finite_difference_state,
-    spectral_gap,
     tangent_frame,
     tilde_generator,
 )
 
 from helpers import SIGMA_X, SIGMA_Y, SIGMA_Z, closed_qubit_state, random_circuit, reference_circuit
+
+# (D, M) cases up to D=32, M=8, checked beside the small random circuits.
+LARGE_SIZES = ((16, 3), (16, 8), (32, 5), (32, 8))
+
+finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
 
 
 def test_rejects_non_hermitian_generator():
@@ -112,10 +119,37 @@ def test_index_validation():
         tilde_generator(circuit, [0.1], True)
 
 
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(
+    arrays(np.float64, (3, 3), elements=finite),
+    arrays(np.float64, (3, 3), elements=finite),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+def test_unitary_is_unitary(real, imag, angle):
+    raw = real + 1j * imag
+    circuit = EncodingCircuit(((raw + raw.conj().T) / 2.0,), np.array([1.0, 0.0, 0.0]))
+    u = circuit.unitary(0, angle)
+    assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-10
+
+
+def test_unitary_half_turn_closed_form():
+    # The generator squares to the identity, so the expansion terminates.
+    circuit = EncodingCircuit((SIGMA_X,), np.array([1.0, 0.0], dtype=complex))
+    angle = 0.7
+    expected = np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * SIGMA_X
+    assert np.max(np.abs(circuit.unitary(0, angle) - expected)) < 1e-14
+
+
+def _small_and_large_circuits(rng, n_small):
+    for _ in range(n_small):
+        yield random_circuit(rng)
+    for dim, n_params in LARGE_SIZES:
+        yield random_circuit(rng, dim=dim, n_params=n_params)
+
+
 def test_derivative_state_matches_finite_difference():
     rng = np.random.default_rng(21)
-    for _ in range(15):
-        circuit = random_circuit(rng)
+    for circuit in _small_and_large_circuits(rng, 15):
         theta = rng.uniform(-1.5, 1.5, circuit.n_params)
         for j in range(circuit.n_params):
             analytic = derivative_state(circuit, theta, j)
@@ -125,15 +159,10 @@ def test_derivative_state_matches_finite_difference():
 
 def test_tangent_frame_matches_per_index_derivatives():
     rng = np.random.default_rng(31)
-    for _ in range(10):
-        circuit = random_circuit(rng)
+    for circuit in _small_and_large_circuits(rng, 10):
         theta = rng.uniform(-1.5, 1.5, circuit.n_params)
         state, tangents = tangent_frame(circuit, theta)
+        assert tangents.shape == (circuit.dim, circuit.n_params)
         assert np.max(np.abs(state - evolve(circuit, theta))) < 1e-12
         for j in range(circuit.n_params):
             assert np.max(np.abs(tangents[:, j] - derivative_state(circuit, theta, j))) < 1e-11
-
-
-def test_spectral_gap_values():
-    assert spectral_gap(SIGMA_X) == pytest.approx(2.0)
-    assert spectral_gap(np.diag([1.0, 4.0, -2.0])) == pytest.approx(6.0)

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import qfisher.distill
 from qfisher import (
     ValidationError,
+    curvature_postselected,
     distillation_report,
     evolve,
     kraus_from_estimate,
@@ -12,6 +14,7 @@ from qfisher import (
     qfim_postselected,
     qfim_pure,
     t_sweep,
+    uhlmann_curvature,
 )
 
 from helpers import random_circuit, reference_circuit
@@ -90,6 +93,40 @@ def test_report_fields_are_consistent():
     assert report.risk_after is not None
     # distillation with a decent guess keeps the per-copy risk close
     assert report.risk_after.value == pytest.approx(report.risk_before.value, rel=0.1)
+
+
+def test_report_matches_separate_computations():
+    rng = np.random.default_rng(77)
+    for dim, n_params in ((2, 2), (5, 3), (16, 8), (32, 5)):
+        circuit = random_circuit(rng, dim=dim, n_params=n_params)
+        theta = rng.uniform(-1.5, 1.5, n_params)
+        guess = theta + 0.05 * rng.standard_normal(n_params)
+        report = distillation_report(circuit, theta, guess, 0.4)
+        plan = kraus_from_estimate(circuit, guess, 0.4)
+        qfim_exact, prob = qfim_postselected(circuit, theta, plan.effect)
+        curvature_exact, _ = curvature_postselected(circuit, theta, plan.effect)
+        assert np.array_equal(report.qfim_undistilled, qfim_pure(circuit, theta))
+        assert np.array_equal(report.curvature_undistilled, uhlmann_curvature(circuit, theta))
+        assert np.array_equal(report.qfim_exact, qfim_exact)
+        assert np.array_equal(report.curvature_exact, curvature_exact)
+        assert report.success_prob == prob
+
+
+def test_report_builds_one_tangent_frame(monkeypatch):
+    calls = []
+    original = qfisher.distill.tangent_frame
+
+    def counting(circuit, theta):
+        calls.append(theta)
+        return original(circuit, theta)
+
+    monkeypatch.setattr(qfisher.distill, "tangent_frame", counting)
+    circuit = reference_circuit()
+    theta = [math.pi / 4.0, math.pi / 4.0]
+    distillation_report(circuit, theta, [0.8, 0.7], 0.3)
+    assert len(calls) == 1
+    t_sweep(circuit, theta, [0.8, 0.7], [1.0, 0.5, 0.2])
+    assert len(calls) == 4
 
 
 def test_report_risk_is_none_for_singular_qfim():

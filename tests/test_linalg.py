@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qfisher import NumericError, ValidationError
+from qfisher import NumericError, QFisherError, ValidationError
 from qfisher.linalg import (
     as_complex_matrix,
     as_square_matrix,
@@ -12,7 +12,6 @@ from qfisher.linalg import (
     invert,
     require_hermitian,
     spectral_norm,
-    unitary_exp,
 )
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -66,22 +65,6 @@ def test_herm_eig_sorted_and_reconstructs(raw):
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
-@given(square_complex(3), st.floats(min_value=-3.0, max_value=3.0))
-def test_unitary_exp_is_unitary(raw, angle):
-    herm = (raw + raw.conj().T) / 2.0
-    u = unitary_exp(herm, angle)
-    assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-10
-
-
-def test_unitary_exp_half_turn_closed_form():
-    # The generator squares to the identity, so the expansion terminates.
-    sx = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    angle = 0.7
-    expected = np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * sx
-    assert np.max(np.abs(unitary_exp(sx, angle) - expected)) < 1e-14
-
-
-@settings(deadline=None, derandomize=True, max_examples=40)
 @given(square_complex(3))
 def test_invert_round_trip(raw):
     mat = raw + 10.0 * np.eye(3)  # push well away from singular
@@ -98,3 +81,12 @@ def test_spectral_norm_known_values():
     assert spectral_norm(np.diag([3.0, -7.0])) == pytest.approx(7.0)
     rot = np.array([[0.0, -2.0], [2.0, 0.0]])  # eigenvalues +-2i
     assert spectral_norm(rot) == pytest.approx(2.0)
+
+
+def test_errors_share_the_package_base():
+    assert issubclass(ValidationError, ValueError)
+    assert issubclass(NumericError, ArithmeticError)
+    with pytest.raises(QFisherError):
+        as_square_matrix(np.zeros((2, 3)), "thing")
+    with pytest.raises(QFisherError):
+        invert(np.array([[1.0, 1.0], [1.0, 1.0]]))
