@@ -94,15 +94,17 @@ def _check_index(index, n_params: int) -> int:
     return int(index)
 
 
+def _apply_gates(circuit: EncodingCircuit, values, block: np.ndarray, start: int) -> np.ndarray:
+    """Apply gates start..M-1 at validated angles to a vector or a D x k block."""
+    for angle, eig in zip(values[start:], circuit._eigs[start:]):
+        phases = np.exp(1j * angle * eig.eigenvalues)
+        block = (eig.eigenvectors * phases) @ (eig.eigenvectors.conj().T @ block)
+    return block
+
+
 def evolve(circuit: EncodingCircuit, theta) -> np.ndarray:
     """Apply the full parametrized unitary product to the initial state."""
-    values = as_param_vector(circuit, theta)
-    state = circuit.initial_state
-    for m in range(circuit.n_params):
-        eig = circuit.generator_eig(m)
-        phases = np.exp(1j * values[m] * eig.eigenvalues)
-        state = (eig.eigenvectors * phases) @ (eig.eigenvectors.conj().T @ state)
-    return state
+    return _apply_gates(circuit, as_param_vector(circuit, theta), circuit.initial_state, 0)
 
 
 def tilde_generator(circuit: EncodingCircuit, theta, m) -> np.ndarray:

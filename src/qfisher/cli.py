@@ -20,6 +20,7 @@ import csv
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -188,11 +189,12 @@ def cmd_sweep(args) -> int:
             print(f"warning: t={fmt(point.transmissivity)}: {point.error}", file=sys.stderr)
             continue
         report = point.report
-        if report.risk_after is None:
+        try:
+            risk_lower, risk_upper = learnability_interval(
+                report.success_prob * report.qfim_exact, config.weight, trials
+            )
+        except NumericError:
             risk_lower = risk_upper = math.nan
-        else:
-            risk_lower = report.risk_after.value
-            risk_upper = 2.0 * risk_lower
         rows.append(
             [
                 fmt_csv(report.transmissivity),
@@ -417,8 +419,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; Python warnings it raises become ``warning:`` lines on stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = _run(args)
+    for item in caught:
+        print(f"warning: {item.message}", file=sys.stderr)
+    return code
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except ValidationError as exc:

@@ -24,7 +24,6 @@ from .fisher import (
     curvature_from_tensor,
     postselected_geometric_tensor,
     qfim_from_tensor,
-    require_effect,
     scalar_risk,
     validate_povm,
 )
@@ -69,7 +68,7 @@ def kraus_from_estimate(circuit: EncodingCircuit, theta_guess, t) -> Distillatio
     drift = float(np.max(np.abs(kraus.conj().T @ kraus - effect)))
     if drift > PLAN_CONSTRUCTION_TOL:
         raise NumericError(f"filter effect drifts from K^dag K by {drift:.3e}")
-    validate_povm((effect, identity - effect), circuit.dim)
+    effect, _ = validate_povm((effect, identity - effect), circuit.dim)
     for arr in (theta_guess, kraus, effect):
         arr.setflags(write=False)
     return DistillationPlan(
@@ -152,12 +151,12 @@ def distillation_report(
     delta = plan.theta_guess - theta_true
     regime_ratio = float(np.sum(delta * delta)) / plan.transmissivity**2
 
-    effect = require_effect(plan.effect, circuit.dim)
     state, tangents = tangent_frame(circuit, theta_true)
     plain = _tensor_from_frame(state, tangents)
     qfim_plain = qfim_from_tensor(plain)
     curvature_plain = curvature_from_tensor(plain)
-    tensor, success_prob = _postselected_tensor_from_frame(state, tangents, effect)
+    # plan.effect passed require_effect inside validate_povm and is write-locked.
+    tensor, success_prob = _postselected_tensor_from_frame(state, tangents, plan.effect)
     qfim_exact = qfim_from_tensor(tensor)
     curvature_exact = curvature_from_tensor(tensor)
     qfim_predicted = qfim_plain / plan.transmissivity**2

@@ -47,34 +47,11 @@ class WeightedRisk:
     value: float
 
 
-def validate_povm(effects, dim: int | None = None) -> tuple[np.ndarray, ...]:
-    """Check that effects are PSD and resolve the identity; return copies."""
-    elements = [
-        require_hermitian(effect, f"povm[{k}]", rtol=DEFAULT_TOL)
-        for k, effect in enumerate(effects)
-    ]
-    if not elements:
-        raise ValidationError("povm must contain at least one effect")
-    size = elements[0].shape[0]
-    if dim is not None and size != dim:
-        raise ValidationError(f"povm effects have dimension {size}, expected {dim}")
-    for k, effect in enumerate(elements):
-        if effect.shape[0] != size:
-            raise ValidationError(f"povm[{k}] has dimension {effect.shape[0]}, expected {size}")
-        lowest = float(np.linalg.eigvalsh(effect)[0])
-        scale = max(1.0, float(np.max(np.abs(effect))))
-        if lowest < -DEFAULT_TOL * scale:
-            raise ValidationError(
-                f"povm[{k}] is not positive semidefinite: min eigenvalue {lowest:.3e}"
-            )
-    total = sum(elements)
-    if float(np.max(np.abs(total - np.eye(size)))) > DEFAULT_TOL:
-        raise ValidationError("povm effects do not sum to the identity")
-    return tuple(elements)
-
-
 def require_effect(effect, dim: int | None = None, name: str = "effect") -> np.ndarray:
-    """Validate a single postselection effect: Hermitian and PSD."""
+    """Validate a single effect: Hermitian, PSD and, if given, of dimension dim.
+
+    Returns the symmetrized copy.
+    """
     mat = require_hermitian(effect, name, rtol=DEFAULT_TOL)
     if dim is not None and mat.shape[0] != dim:
         raise ValidationError(f"{name} has dimension {mat.shape[0]}, expected {dim}")
@@ -83,6 +60,22 @@ def require_effect(effect, dim: int | None = None, name: str = "effect") -> np.n
     if lowest < -DEFAULT_TOL * scale:
         raise ValidationError(f"{name} is not positive semidefinite: min eigenvalue {lowest:.3e}")
     return mat
+
+
+def validate_povm(effects, dim: int | None = None) -> tuple[np.ndarray, ...]:
+    """Check that effects are PSD and resolve the identity; return the
+    validated copies. Without ``dim`` the first effect sets the dimension."""
+    elements = []
+    for k, effect in enumerate(effects):
+        mat = require_effect(effect, dim, f"povm[{k}]")
+        dim = mat.shape[0]
+        elements.append(mat)
+    if not elements:
+        raise ValidationError("povm must contain at least one effect")
+    total = sum(elements)
+    if float(np.max(np.abs(total - np.eye(dim)))) > DEFAULT_TOL:
+        raise ValidationError("povm effects do not sum to the identity")
+    return tuple(elements)
 
 
 def geometric_tensor(circuit: EncodingCircuit, theta) -> np.ndarray:

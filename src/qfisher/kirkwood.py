@@ -1,7 +1,7 @@
 """Kirkwood-Dirac quasiprobability analysis of postselected information.
 
-Builds the joint quasiprobability table over eigenprojectors of two
-effective generators together with a binary postselection outcome,
+Builds the joint quasiprobability table over the eigenvalue clusters of
+two effective generators together with a binary postselection outcome,
 conditions it on success, and reports negativity. The headline result is
 a consistency check: a postselected-QFIM entry can only beat the
 classical covariance bound when the conditioned quasiprobability
@@ -14,70 +14,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, _check_index, as_param_vector, evolve, tilde_generator
+from .circuit import EncodingCircuit, _apply_gates, _check_index, as_param_vector, evolve
 from .errors import NumericError, ValidationError
 from .fisher import POSTSELECTION_PROB_FLOOR, require_effect
-from .linalg import herm_eig, require_hermitian
 
-# Adjacent eigenvalues closer than this are merged into one projector.
+# Adjacent eigenvalues no farther apart than this fraction of the
+# spectrum's spread are merged into one cluster.
 DEGENERACY_TOL = 1e-8
 # Tolerance for calling a quasiprobability entry classical.
 CLASSICALITY_TOL = 1e-9
-# Projector sanity checks (idempotence, orthogonality, completeness).
+# Unitarity of each rotated eigenbasis, which makes its cluster projectors
+# complete, idempotent and orthogonal.
 PROJECTOR_TOL = 1e-8
 # Slack for a KD table summing to 1 and for its spectrum marginals being
 # real and nonnegative.
 KD_TABLE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EigenProjectorSet:
-    """Distinct eigenvalues of a Hermitian operator with their projectors."""
+def _clusters(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Group an ascending spectrum into clusters of near-equal eigenvalues.
 
-    eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-
-    @property
-    def n_outcomes(self) -> int:
-        return len(self.projectors)
-
-    @property
-    def spread(self) -> float:
-        """Largest minus smallest eigenvalue."""
-        return float(self.eigenvalues[-1] - self.eigenvalues[0])
-
-
-def eigenprojectors(operator, name: str = "operator") -> EigenProjectorSet:
-    """Spectral decomposition into projectors onto distinct eigenvalues.
-
-    Eigenvalues within DEGENERACY_TOL of their neighbour are chained into
-    one cluster; each cluster gets the mean eigenvalue and the projector
-    onto its eigenspace. The resulting family is verified to be an
-    orthogonal resolution of the identity.
+    Returns ``(means, starts, spread)``: the mean eigenvalue and the first
+    index of each cluster, and the largest minus the smallest mean. A gap
+    of at most DEGENERACY_TOL times the spectrum's spread chains two
+    neighbours, so the clusters do not change when the spectrum is scaled
+    and a zero spread gives one cluster.
     """
-    mat = require_hermitian(operator, name)
-    eig = herm_eig(mat, name)
-    clusters: list[list[int]] = [[0]]
-    for idx in range(1, len(eig.eigenvalues)):
-        if eig.eigenvalues[idx] - eig.eigenvalues[clusters[-1][-1]] < DEGENERACY_TOL:
-            clusters[-1].append(idx)
-        else:
-            clusters.append([idx])
-    values = np.array([float(np.mean(eig.eigenvalues[c])) for c in clusters])
-    projectors = []
-    for members in clusters:
-        block = eig.eigenvectors[:, members]
-        projectors.append(block @ block.conj().T)
-    total = sum(projectors)
-    if float(np.max(np.abs(total - np.eye(mat.shape[0])))) > PROJECTOR_TOL:
-        raise NumericError(f"eigenprojectors of {name} do not sum to the identity")
-    for a, proj in enumerate(projectors):
-        if float(np.max(np.abs(proj @ proj - proj))) > PROJECTOR_TOL:
-            raise NumericError(f"eigenprojector {a} of {name} is not idempotent")
-        for b in range(a + 1, len(projectors)):
-            if float(np.max(np.abs(proj @ projectors[b]))) > PROJECTOR_TOL:
-                raise NumericError(f"eigenprojectors {a}, {b} of {name} are not orthogonal")
-    return EigenProjectorSet(eigenvalues=values, projectors=tuple(projectors))
+    gaps = np.diff(eigenvalues)
+    split = gaps > DEGENERACY_TOL * (eigenvalues[-1] - eigenvalues[0])
+    starts = np.flatnonzero(np.concatenate(([True], split)))
+    means = np.add.reduceat(eigenvalues, starts) / np.diff(np.append(starts, eigenvalues.size))
+    return means, starts, float(means[-1] - means[0])
 
 
 def _check_pair(pair, n_params: int) -> tuple[int, int]:
@@ -113,22 +80,38 @@ class KdDistribution:
 
 
 def kd_distribution(circuit: EncodingCircuit, theta, pair, effect) -> KdDistribution:
-    """Joint Kirkwood-Dirac table at theta for a parameter pair and effect."""
+    """Joint Kirkwood-Dirac table at theta for a parameter pair and effect.
+
+    Effective generator m has the cached spectrum of generators[m] and the
+    eigenbasis U_m = (gates m+1..M-1) V_m, with V_m the cached eigenbasis.
+    With alpha = U_i^dag psi, beta = U_j^dag psi and G = U_i^dag F U_j,
+    entry (k, l) sums conj(alpha_a) G_ab beta_b over eigenvalue clusters k
+    and l; the failure outcome uses U_i^dag U_j - G. No projector matrix is
+    formed, and the cost is O(M D^3).
+    """
     theta = as_param_vector(circuit, theta)
     first, second = _check_pair(pair, circuit.n_params)
     mat = require_effect(effect, circuit.dim)
-    proj_i = eigenprojectors(tilde_generator(circuit, theta, first), f"effective generator {first}")
-    proj_j = eigenprojectors(tilde_generator(circuit, theta, second), f"effective generator {second}")
     state = evolve(circuit, theta)
-    rho = np.outer(state, state.conj())
-    stack_i = np.stack(proj_i.projectors)
-    stack_j = np.stack(proj_j.projectors)
-    table = np.empty((proj_i.n_outcomes, proj_j.n_outcomes, 2), dtype=complex)
-    # Tr[P_k F Q_l rho] as the trace of (P_k F)(Q_l rho): two batched
-    # products and one pairwise contraction, O((K + L) D^3 + K L D^2).
-    right = stack_j @ rho
-    for m, outcome in enumerate((mat, np.eye(circuit.dim) - mat)):
-        table[:, :, m] = np.einsum("kac,lca->kl", stack_i @ outcome, right)
+    sides = []
+    for index in (first, second):
+        eig = circuit.generator_eig(index)
+        basis = _apply_gates(circuit, theta, eig.eigenvectors, index + 1)
+        drift = float(np.max(np.abs(basis.conj().T @ basis - np.eye(circuit.dim))))
+        if drift > PROJECTOR_TOL:
+            raise NumericError(
+                f"eigenbasis of effective generator {index} is not unitary: drift {drift:.3e}"
+            )
+        sides.append((basis, *_clusters(eig.eigenvalues)))
+    (basis_i, vals_i, starts_i, spread_i), (basis_j, vals_j, starts_j, spread_j) = sides
+    alpha = basis_i.conj().T @ state
+    beta = basis_j.conj().T @ state
+    gram = basis_i.conj().T @ mat @ basis_j
+    table = np.empty((len(vals_i), len(vals_j), 2), dtype=complex)
+    for m, outcome in enumerate((gram, basis_i.conj().T @ basis_j - gram)):
+        weights = alpha.conj()[:, None] * outcome * beta
+        rows = np.add.reduceat(weights, starts_i, axis=0)
+        table[:, :, m] = np.add.reduceat(rows, starts_j, axis=1)
     total = complex(np.sum(table))
     if abs(total - 1.0) > KD_TABLE_TOL:
         raise NumericError(f"quasiprobability table sums to {total:.12g}, expected 1")
@@ -141,10 +124,10 @@ def kd_distribution(circuit: EncodingCircuit, theta, pair, effect) -> KdDistribu
     return KdDistribution(
         pair=(first, second),
         table=table,
-        eigenvalues_i=proj_i.eigenvalues,
-        eigenvalues_j=proj_j.eigenvalues,
-        spread_i=proj_i.spread,
-        spread_j=proj_j.spread,
+        eigenvalues_i=vals_i,
+        eigenvalues_j=vals_j,
+        spread_i=spread_i,
+        spread_j=spread_j,
     )
 
 

@@ -47,6 +47,23 @@ def random_circuit(rng, dim=None, n_params=None, max_dim=5, max_params=4, scale=
     return EncodingCircuit(generators, random_state(rng, dim))
 
 
+def random_pauli_string(rng, n_qubits):
+    """Random non-identity Pauli string: eigenvalues +-1, each D/2-fold degenerate."""
+    picks = np.zeros(n_qubits, dtype=int)
+    while not picks.any():
+        picks = rng.integers(0, 4, n_qubits)
+    paulis = (np.eye(2, dtype=complex), SIGMA_X, SIGMA_Y, SIGMA_Z)
+    out = np.ones((1, 1), dtype=complex)
+    for k in picks:
+        out = np.kron(out, paulis[k])
+    return out
+
+
+def pauli_circuit(rng, n_qubits, n_params):
+    generators = tuple(random_pauli_string(rng, n_qubits) for _ in range(n_params))
+    return EncodingCircuit(generators, random_state(rng, 2**n_qubits))
+
+
 def random_projective_povm(rng, dim):
     basis = random_unitary(rng, dim)
     return tuple(np.outer(basis[:, k], basis[:, k].conj()) for k in range(dim))

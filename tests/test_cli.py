@@ -170,6 +170,28 @@ def test_crb_command(tmp_path, capsys):
     assert lines[1].split(",")[1] == "20240817"
 
 
+def test_crb_prints_python_warnings_as_lines(tmp_path, capsys):
+    # sigma_x qubit barely rotated: the z-basis outcome 1 has probability
+    # 1e-14 but a nonzero slope, so classical_fim warns that the FIM diverges.
+    config = ScenarioConfig(
+        dim=2,
+        generators=(SIGMA_X,),
+        initial_state=np.array([1.0, 0.0], dtype=complex),
+        theta_true=np.array([1e-7]),
+        theta_guess=np.array([1e-7]),
+        t=1.0,
+        povm=(np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)),
+        trials=10000,
+        seed=20240817,
+    )
+    path = tmp_path / "divergent.json"
+    save_scenario(config, path)
+    assert main(["crb", "--scenario", str(path), "--batches", "5"]) == 0
+    err = capsys.readouterr().err
+    assert "warning: outcome 1 has probability" in err
+    assert "DivergentInformationWarning" not in err
+
+
 def test_crb_requires_sampling_fields(capsys):
     assert main(["crb", "--scenario", COMMUTING]) == 2
     err = capsys.readouterr().err

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qfisher import (
     EncodingCircuit,
@@ -9,7 +11,6 @@ from qfisher import (
     ValidationError,
     analyze_pair,
     condition_on_postselection,
-    eigenprojectors,
     evolve,
     kd_distribution,
     kraus_from_estimate,
@@ -22,49 +23,61 @@ from qfisher import (
 from helpers import (
     conjugated_generator,
     kd_table_oracle,
+    pauli_circuit,
     random_circuit,
+    random_hermitian,
     random_smeared_effect,
+    random_state,
     reference_circuit,
 )
 
 
-def test_eigenprojectors_nondegenerate():
-    out = eigenprojectors(np.diag([2.0, -1.0, 0.5]))
-    assert out.n_outcomes == 3
-    assert np.allclose(out.eigenvalues, [-1.0, 0.5, 2.0])
-    assert out.spread == pytest.approx(3.0)
-    for proj in out.projectors:
-        assert np.trace(proj).real == pytest.approx(1.0)
+@pytest.mark.parametrize(
+    "levels, values, spread",
+    [
+        pytest.param([2.0, -1.0, 0.5], [-1.0, 0.5, 2.0], 3.0, id="nondegenerate"),
+        pytest.param([1.0, 1.0, 3.0], [1.0, 3.0], 2.0, id="merge-degenerate"),
+        pytest.param([1.0, 1.0 + 1e-10, 3.0], [1.0, 3.0], 2.0, id="merge-within-tolerance"),
+        pytest.param(
+            [0.3, -1.2, 0.7, 1.9, -0.4], [-1.2, -0.4, 0.3, 0.7, 1.9], 3.1, id="resolve-identity"
+        ),
+        pytest.param([1.5, 1.5, 1.5], [1.5], 0.0, id="zero-spread"),
+    ],
+)
+def test_kd_clusters_of_diagonal_generator(levels, values, spread):
+    """Clusters of a diagonal generator whose basis a random later gate rotates.
 
-
-def test_eigenprojectors_merge_degenerate_levels():
-    out = eigenprojectors(np.diag([1.0, 1.0, 3.0]))
-    assert out.n_outcomes == 2
-    assert np.allclose(out.eigenvalues, [1.0, 3.0])
-    assert np.trace(out.projectors[0]).real == pytest.approx(2.0)
-
-
-def test_eigenprojectors_merge_within_tolerance():
-    out = eigenprojectors(np.diag([1.0, 1.0 + 1e-10, 3.0]))
-    assert out.n_outcomes == 2
-    assert out.eigenvalues[0] == pytest.approx(1.0, abs=1e-9)
-
-
-def test_eigenprojectors_resolve_identity():
+    The first-spectrum marginal must equal the initial state's weight on each
+    cluster of the diagonal, which holds only if both families of cluster
+    projectors and the two outcomes resolve the identity.
+    """
     rng = np.random.default_rng(51)
-    for _ in range(5):
-        dim = int(rng.integers(2, 6))
-        herm = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        herm = (herm + herm.conj().T) / 2.0
-        out = eigenprojectors(herm)
-        total = sum(out.projectors)
-        assert np.max(np.abs(total - np.eye(dim))) < 1e-10
+    dim = len(levels)
+    state = random_state(rng, dim)
+    later = random_hermitian(rng, dim, 2.0)
+    circuit = EncodingCircuit((np.diag(levels).astype(complex), later), state)
+    dist = kd_distribution(circuit, [0.4, -0.7], (0, 1), random_smeared_effect(rng, dim))
+    assert dist.table.shape == (len(values), dim, 2)
+    assert np.allclose(dist.eigenvalues_i, values, rtol=0.0, atol=1e-9)
+    assert dist.spread_i == pytest.approx(spread)
+    weights = np.abs(state) ** 2
+    expected = [weights[np.abs(np.array(levels) - v) < 1e-6].sum() for v in values]
+    assert np.max(np.abs(dist.table.sum(axis=(1, 2)) - expected)) < 1e-12
+
+
+def _oracle_projectors(operator):
+    """Cluster projectors from a fresh eigendecomposition of ``operator``."""
+    vals, vecs = np.linalg.eigh(operator)
+    splits = np.flatnonzero(np.diff(vals) > 1e-6 * (vals[-1] - vals[0])) + 1
+    return [block @ block.conj().T for block in np.split(vecs, splits, axis=1)]
 
 
 def test_kd_table_matches_trace_oracle():
     rng = np.random.default_rng(52)
-    for _ in range(8):
-        circuit = random_circuit(rng, max_params=3)
+    circuits = [random_circuit(rng, max_params=3) for _ in range(8)]
+    circuits += [random_circuit(rng, dim=dim, n_params=3) for dim in (16, 32)]
+    circuits += [pauli_circuit(rng, n_qubits, 3) for n_qubits in (4, 5)]
+    for circuit in circuits:
         if circuit.n_params < 2:
             continue
         theta = rng.uniform(-1.5, 1.5, circuit.n_params)
@@ -72,13 +85,69 @@ def test_kd_table_matches_trace_oracle():
         dist = kd_distribution(circuit, theta, (0, circuit.n_params - 1), effect)
         state = evolve(circuit, theta)
         rho = np.outer(state, state.conj())
-        proj_i = eigenprojectors(conjugated_generator(circuit, theta, 0))
-        proj_j = eigenprojectors(conjugated_generator(circuit, theta, circuit.n_params - 1))
-        expected = kd_table_oracle(proj_i.projectors, effect, proj_j.projectors, rho)
+        proj_i = _oracle_projectors(conjugated_generator(circuit, theta, 0))
+        proj_j = _oracle_projectors(conjugated_generator(circuit, theta, circuit.n_params - 1))
+        expected = kd_table_oracle(proj_i, effect, proj_j, rho)
+        assert dist.table.shape[:2] == expected.shape
         assert np.max(np.abs(dist.table[:, :, 0] - expected)) < 1e-10
         complement = np.eye(circuit.dim) - effect
-        expected_fail = kd_table_oracle(proj_i.projectors, complement, proj_j.projectors, rho)
+        expected_fail = kd_table_oracle(proj_i, complement, proj_j, rho)
         assert np.max(np.abs(dist.table[:, :, 1] - expected_fail)) < 1e-10
+
+
+def _circuit_for(rng, pauli):
+    """Three-parameter circuit: Pauli strings on 2-3 qubits or dense D = 2-6."""
+    if pauli:
+        return pauli_circuit(rng, int(rng.integers(2, 4)), 3)
+    return random_circuit(rng, n_params=3, max_dim=6)
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-9.0, 6.0),
+    pauli=st.booleans(),
+)
+@example(seed=7, log_scale=-9.0, pauli=False)
+@example(seed=7, log_scale=6.0, pauli=False)
+@example(seed=8, log_scale=-9.0, pauli=True)
+def test_kd_rescaling_scales_entry_by_square(seed, log_scale, pauli):
+    """A -> cA with theta -> theta/c keeps the clusters and scales the entry by c^2."""
+    rng = np.random.default_rng(seed)
+    circuit = _circuit_for(rng, pauli)
+    theta = rng.uniform(-1.5, 1.5, 3)
+    effect = random_smeared_effect(rng, circuit.dim)
+    pair = tuple(int(k) for k in rng.integers(0, 3, 2))
+    scale = 10.0**log_scale
+    scaled = EncodingCircuit(
+        tuple(scale * gen for gen in circuit.generators), circuit.initial_state
+    )
+    base = analyze_pair(circuit, theta, pair, effect)
+    rescaled = analyze_pair(scaled, theta / scale, pair, effect)
+    assert rescaled.conditioned.shape == base.conditioned.shape
+    assert np.max(np.abs(rescaled.conditioned - base.conditioned)) < 1e-8
+    bound = base.spread_i * base.spread_j
+    assert rescaled.spread_i * rescaled.spread_j == pytest.approx(scale**2 * bound, rel=1e-10)
+    assert rescaled.entry / scale**2 == pytest.approx(base.entry, rel=1e-8, abs=1e-8 * bound)
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    phase=st.floats(-math.pi, math.pi),
+    pauli=st.booleans(),
+)
+def test_kd_table_ignores_global_phase(seed, phase, pauli):
+    rng = np.random.default_rng(seed)
+    circuit = _circuit_for(rng, pauli)
+    theta = rng.uniform(-1.5, 1.5, 3)
+    effect = random_smeared_effect(rng, circuit.dim)
+    pair = tuple(int(k) for k in rng.integers(0, 3, 2))
+    shifted = EncodingCircuit(circuit.generators, np.exp(1j * phase) * circuit.initial_state)
+    base = kd_distribution(circuit, theta, pair, effect)
+    moved = kd_distribution(shifted, theta, pair, effect)
+    assert moved.table.shape == base.table.shape
+    assert np.max(np.abs(moved.table - base.table)) < 1e-12
 
 
 def test_kd_table_sums_to_one():
