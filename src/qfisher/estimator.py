@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, as_param_vector, evolve
+from .circuit import EncodingCircuit, _apply_gates, as_param_vector, evolve
 from .errors import NumericError, ValidationError
 from .fisher import _validate_trials, classical_fim, validate_povm
 from .linalg import invert
@@ -43,16 +43,11 @@ def _check_seed(seed) -> int:
     return int(seed)
 
 
-def _probabilities(circuit: EncodingCircuit, theta, effects) -> np.ndarray:
-    state = evolve(circuit, theta)
-    probs = np.array([float(np.real(state.conj() @ e @ state)) for e in effects])
-    return np.maximum(probs, 0.0)
-
-
 def outcome_probabilities(circuit: EncodingCircuit, theta, povm) -> np.ndarray:
     """Outcome distribution of the POVM on the encoded state at theta."""
     effects = validate_povm(povm, circuit.dim)
-    return _probabilities(circuit, theta, effects)
+    state = evolve(circuit, theta)
+    return np.maximum(np.real((effects @ state) @ state.conj()), 0.0)
 
 
 def sample_outcomes(probs, trials, seed) -> SampleBatch:
@@ -123,7 +118,10 @@ def mle_fit(
     upper = theta + radius
 
     def objective(point):
-        return loglikelihood(batch.counts, _probabilities(circuit, point, effects))
+        # Points come from the validated theta_init and are finite; the log
+        # floor in loglikelihood also covers roundoff-negative probabilities.
+        state = _apply_gates(circuit, point, circuit.initial_state, 0)
+        return loglikelihood(batch.counts, np.real((effects @ state) @ state.conj()))
 
     best = objective(theta)
     seen_min = best

@@ -62,9 +62,10 @@ def require_effect(effect, dim: int | None = None, name: str = "effect") -> np.n
     return mat
 
 
-def validate_povm(effects, dim: int | None = None) -> tuple[np.ndarray, ...]:
+def validate_povm(effects, dim: int | None = None) -> np.ndarray:
     """Check that effects are PSD and resolve the identity; return the
-    validated copies. Without ``dim`` the first effect sets the dimension."""
+    validated copies stacked as a K x D x D array. Without ``dim`` the first
+    effect sets the dimension."""
     elements = []
     for k, effect in enumerate(effects):
         mat = require_effect(effect, dim, f"povm[{k}]")
@@ -72,10 +73,10 @@ def validate_povm(effects, dim: int | None = None) -> tuple[np.ndarray, ...]:
         elements.append(mat)
     if not elements:
         raise ValidationError("povm must contain at least one effect")
-    total = sum(elements)
-    if float(np.max(np.abs(total - np.eye(dim)))) > DEFAULT_TOL:
+    stack = np.array(elements)
+    if float(np.max(np.abs(stack.sum(axis=0) - np.eye(dim)))) > DEFAULT_TOL:
         raise ValidationError("povm effects do not sum to the identity")
-    return tuple(elements)
+    return stack
 
 
 def geometric_tensor(circuit: EncodingCircuit, theta) -> np.ndarray:
@@ -177,23 +178,20 @@ def classical_fim(circuit: EncodingCircuit, theta, povm) -> np.ndarray:
     """
     effects = validate_povm(povm, circuit.dim)
     state, tangents = tangent_frame(circuit, theta)
-    size = circuit.n_params
-    fim = np.zeros((size, size))
-    for k, effect in enumerate(effects):
-        weighted_state = effect @ state
-        prob = float(np.real(state.conj() @ weighted_state))
-        slope = 2.0 * np.real(weighted_state.conj() @ tangents)
-        if prob < PROBABILITY_FLOOR:
-            if float(np.max(np.abs(slope))) > DIVERGENT_SLOPE_TOL:
-                warnings.warn(
-                    f"outcome {k} has probability {prob:.3e} but slope "
-                    f"{float(np.max(np.abs(slope))):.3e}; Fisher information diverges",
-                    DivergentInformationWarning,
-                    stacklevel=2,
-                )
-            continue
-        fim += np.outer(slope, slope) / prob
-    return fim
+    weighted = effects @ state
+    probs = np.real(weighted @ state.conj())
+    slopes = 2.0 * np.real(weighted.conj() @ tangents)
+    kept = probs >= PROBABILITY_FLOOR
+    for k in np.flatnonzero(~kept):
+        steepest = float(np.max(np.abs(slopes[k])))
+        if steepest > DIVERGENT_SLOPE_TOL:
+            warnings.warn(
+                f"outcome {k} has probability {probs[k]:.3e} but slope "
+                f"{steepest:.3e}; Fisher information diverges",
+                DivergentInformationWarning,
+                stacklevel=2,
+            )
+    return (slopes[kept].T / probs[kept]) @ slopes[kept]
 
 
 def _validate_weight(weight, size: int) -> np.ndarray:

@@ -21,7 +21,11 @@ from .fisher import POSTSELECTION_PROB_FLOOR, require_effect
 # Adjacent eigenvalues no farther apart than this fraction of the
 # spectrum's spread are merged into one cluster.
 DEGENERACY_TOL = 1e-8
-# Tolerance for calling a quasiprobability entry classical.
+# Gaps below this fraction of the largest eigenvalue magnitude are roundoff
+# of one degenerate eigenvalue and are merged whatever the spread.
+EIGENVALUE_ROUNDOFF_RTOL = 1e-12
+# Tolerance for calling a quasiprobability entry classical, and relative
+# slack on the classical covariance bound.
 CLASSICALITY_TOL = 1e-9
 # Unitarity of each rotated eigenbasis, which makes its cluster projectors
 # complete, idempotent and orthogonal.
@@ -36,12 +40,16 @@ def _clusters(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
 
     Returns ``(means, starts, spread)``: the mean eigenvalue and the first
     index of each cluster, and the largest minus the smallest mean. A gap
-    of at most DEGENERACY_TOL times the spectrum's spread chains two
-    neighbours, so the clusters do not change when the spectrum is scaled
-    and a zero spread gives one cluster.
+    of at most DEGENERACY_TOL times the spectrum's spread, or at most
+    EIGENVALUE_ROUNDOFF_RTOL times its largest magnitude, chains two
+    neighbours. Both scale with the spectrum, so the clusters do not change
+    when it is scaled, and a spread of pure roundoff gives one cluster.
     """
-    gaps = np.diff(eigenvalues)
-    split = gaps > DEGENERACY_TOL * (eigenvalues[-1] - eigenvalues[0])
+    tol = max(
+        DEGENERACY_TOL * (eigenvalues[-1] - eigenvalues[0]),
+        EIGENVALUE_ROUNDOFF_RTOL * float(np.max(np.abs(eigenvalues))),
+    )
+    split = np.diff(eigenvalues) > tol
     starts = np.flatnonzero(np.concatenate(([True], split)))
     means = np.add.reduceat(eigenvalues, starts) / np.diff(np.append(starts, eigenvalues.size))
     return means, starts, float(means[-1] - means[0])
@@ -149,17 +157,21 @@ def qfim_entry_kd(conditioned, eigenvalues_i, eigenvalues_j) -> float:
     """Postselected-QFIM entry from a conditioned quasiprobability matrix.
 
     4 Re{ E[a_i a_j] - E_left[a_i] E_right[a_j] } where the expectations
-    run over the (generally complex) conditioned distribution and its two
-    marginals.
+    run over the (generally complex) conditioned distribution, which sums
+    to 1, and its two marginals. Each spectrum is centred on its midrange
+    first: that leaves the entry unchanged and keeps its roundoff on the
+    scale of the covariance bound, so a one-value spectrum gives exactly 0.
     """
     matrix = np.asarray(conditioned, dtype=complex)
     vals_i = np.asarray(eigenvalues_i, dtype=float)
     vals_j = np.asarray(eigenvalues_j, dtype=float)
-    if matrix.shape != (len(vals_i), len(vals_j)):
+    if matrix.shape != (len(vals_i), len(vals_j)) or matrix.size == 0:
         raise ValidationError(
-            f"conditioned matrix shape {matrix.shape} does not match eigenvalue "
+            f"conditioned matrix shape {matrix.shape} does not match nonzero eigenvalue "
             f"counts ({len(vals_i)}, {len(vals_j)})"
         )
+    vals_i = vals_i - (vals_i.min() + vals_i.max()) / 2.0
+    vals_j = vals_j - (vals_j.min() + vals_j.max()) / 2.0
     correlation = vals_i @ matrix @ vals_j
     left = vals_i @ matrix.sum(axis=1)
     right = matrix.sum(axis=0) @ vals_j
@@ -213,10 +225,12 @@ def negativity_consistency_check(
 
     A classical conditioned distribution caps the QFIM entry at the
     covariance bound spread_i * spread_j. Returns False only on a
-    counterexample: an entry beyond the bound while the distribution
-    still looks classical.
+    counterexample: an entry beyond the bound by more than the relative
+    slack CLASSICALITY_TOL while the distribution still looks classical.
+    The slack scales with the bound, so rescaling both generators by c
+    keeps the verdict.
     """
-    anomalous = abs(entry) > spread_i * spread_j + CLASSICALITY_TOL
+    anomalous = abs(entry) > spread_i * spread_j * (1.0 + CLASSICALITY_TOL)
     return not (anomalous and report.classical)
 
 

@@ -44,71 +44,61 @@ class ScenarioConfig:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ScenarioConfig):
             return NotImplemented
-
-        def arrays_equal(a, b):
-            if a is None or b is None:
-                return a is None and b is None
-            if isinstance(a, tuple):
-                return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
-            return np.array_equal(a, b)
-
-        return (
-            self.dim == other.dim
-            and self.t == other.t
-            and self.kd_pair == other.kd_pair
-            and self.trials == other.trials
-            and self.seed == other.seed
-            and arrays_equal(self.generators, other.generators)
-            and arrays_equal(self.initial_state, other.initial_state)
-            and arrays_equal(self.theta_true, other.theta_true)
-            and arrays_equal(self.theta_guess, other.theta_guess)
-            and arrays_equal(self.weight, other.weight)
-            and arrays_equal(self.povm, other.povm)
-        )
+        return scenario_to_dict(self) == scenario_to_dict(other)
 
 
 def _fail(path: str, message: str):
     raise ValidationError(f"{path}: {message}")
 
 
-def _int_from_json(value, path: str, minimum: int) -> int:
+def _int_from_json(value, path: str, minimum: int, limit: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         _fail(path, f"expected an integer, got {value!r}")
     if value < minimum:
         _fail(path, f"must be >= {minimum}, got {value}")
+    if limit is not None and value >= limit:
+        _fail(path, f"index {value} out of range [{minimum}, {limit})")
     return value
 
 
-def _float_from_json(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, f"expected a number, got {value!r}")
-    return float(value)
+def _check_nested(value, path: str, dims: tuple, pairs: bool) -> None:
+    """Raise ValidationError at the first entry of ``value`` off ``dims``."""
+    if not dims:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            _fail(path, f"expected a number, got {value!r}")
+        return
+    is_pair = pairs and len(dims) == 1
+    if not isinstance(value, (list, tuple) if is_pair else list) or (
+        len(value) != dims[0] if dims[0] else not value
+    ):
+        if is_pair:
+            _fail(path, f"complex entries must be [re, im] pairs, got {value!r}")
+        _fail(path, f"expected a list of {dims[0] or 'one or more'} entries")
+    rest = dims[1:]
+    for k, item in enumerate(value):
+        # Plain floats and ints at the last level need no call and no path.
+        if rest or type(item) not in (float, int):
+            _check_nested(item, f"{path}[{k}]", rest, pairs)
 
 
-def _complex_from_json(value, path: str) -> complex:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        _fail(path, f"complex entries must be [re, im] pairs, got {value!r}")
-    return complex(_float_from_json(value[0], path + "[0]"), _float_from_json(value[1], path + "[1]"))
+def _array_from_json(value, path: str, shape: tuple, pairs: bool = False) -> np.ndarray:
+    """Decode numbers, or [re, im] pairs if ``pairs``, nested to ``shape``.
+
+    A None in ``shape`` takes any nonzero length. Errors name the path of
+    the first entry off shape or not a number. Pairs are read through a
+    complex128 view, which keeps the sign of every zero.
+    """
+    _check_nested(value, path, shape + (2,) if pairs else shape, pairs)
+    array = np.array(value, dtype=float)
+    return array.view(complex)[..., 0] if pairs else array
 
 
-def _complex_vector_from_json(rows, path: str, length: int) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != length:
-        _fail(path, f"expected a list of {length} [re, im] pairs")
-    return np.array([_complex_from_json(v, f"{path}[{k}]") for k, v in enumerate(rows)])
-
-
-def _complex_matrix_from_json(rows, path: str, dim: int) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != dim:
-        _fail(path, f"expected a {dim}x{dim} matrix as nested lists")
-    return np.array(
-        [_complex_vector_from_json(row, f"{path}[{r}]", dim) for r, row in enumerate(rows)]
-    )
-
-
-def _real_vector_from_json(rows, path: str, length: int) -> np.ndarray:
-    if not isinstance(rows, list) or len(rows) != length:
-        _fail(path, f"expected a list of {length} numbers")
-    return np.array([_float_from_json(v, f"{path}[{k}]") for k, v in enumerate(rows)])
+def _array_to_json(array, pairs: bool = False) -> list:
+    """Nested lists of floats, or of [re, im] pairs if ``pairs``."""
+    if pairs:
+        array = np.asarray(array, dtype=complex)
+        array = np.stack((array.real, array.imag), axis=-1)
+    return np.asarray(array, dtype=float).tolist()
 
 
 def scenario_from_dict(data) -> ScenarioConfig:
@@ -122,99 +112,57 @@ def scenario_from_dict(data) -> ScenarioConfig:
     if missing:
         raise ValidationError(f"missing scenario keys: {', '.join(missing)}")
 
-    dim = _int_from_json(data["dim"], "dim", minimum=1)
-    raw_generators = data["generators"]
-    if not isinstance(raw_generators, list) or not raw_generators:
-        _fail("generators", "expected a nonempty list of matrices")
-    generators = tuple(
-        _complex_matrix_from_json(g, f"generators[{m}]", dim) for m, g in enumerate(raw_generators)
-    )
+    def field(key, decode, *args):
+        value = data.get(key)
+        return None if value is None and key in _OPTIONAL_KEYS else decode(value, key, *args)
+
+    dim = field("dim", _int_from_json, 1)
+    generators = tuple(field("generators", _array_from_json, (None, dim, dim), True))
     n_params = len(generators)
-    initial_state = _complex_vector_from_json(data["initial_state"], "initial_state", dim)
-    theta_true = _real_vector_from_json(data["theta_true"], "theta_true", n_params)
-    theta_guess = _real_vector_from_json(data["theta_guess"], "theta_guess", n_params)
-    t = _float_from_json(data["t"], "t")
+    initial_state = field("initial_state", _array_from_json, (dim,), True)
+    theta_true = field("theta_true", _array_from_json, (n_params,))
+    theta_guess = field("theta_guess", _array_from_json, (n_params,))
+    t = float(field("t", _array_from_json, ()))
     if not 0.0 < t <= 1.0:
         _fail("t", f"must lie in (0, 1], got {t}")
-
-    weight = None
-    if data.get("weight") is not None:
-        raw_weight = data["weight"]
-        if not isinstance(raw_weight, list) or len(raw_weight) != n_params:
-            _fail("weight", f"expected a {n_params}x{n_params} matrix of numbers")
-        weight = np.array(
-            [
-                _real_vector_from_json(row, f"weight[{r}]", n_params)
-                for r, row in enumerate(raw_weight)
-            ]
-        )
-
-    kd_pair = None
-    if data.get("kd_pair") is not None:
-        raw_pair = data["kd_pair"]
-        if not isinstance(raw_pair, list) or len(raw_pair) != 2:
-            _fail("kd_pair", f"expected two parameter indices, got {raw_pair!r}")
+    weight = field("weight", _array_from_json, (n_params, n_params))
+    kd_pair = data.get("kd_pair")
+    if kd_pair is not None:
+        if not isinstance(kd_pair, list) or len(kd_pair) != 2:
+            _fail("kd_pair", f"expected two parameter indices, got {kd_pair!r}")
         kd_pair = tuple(
-            _int_from_json(v, f"kd_pair[{k}]", minimum=0) for k, v in enumerate(raw_pair)
+            _int_from_json(v, f"kd_pair[{k}]", 0, n_params) for k, v in enumerate(kd_pair)
         )
-        for k, index in enumerate(kd_pair):
-            if index >= n_params:
-                _fail(f"kd_pair[{k}]", f"index {index} out of range [0, {n_params})")
-
-    povm = None
-    if data.get("povm") is not None:
-        raw_povm = data["povm"]
-        if not isinstance(raw_povm, list) or not raw_povm:
-            _fail("povm", "expected a nonempty list of matrices")
-        povm = tuple(
-            _complex_matrix_from_json(e, f"povm[{k}]", dim) for k, e in enumerate(raw_povm)
-        )
-
-    trials = None if data.get("trials") is None else _int_from_json(data["trials"], "trials", 1)
-    seed = None if data.get("seed") is None else _int_from_json(data["seed"], "seed", 0)
-
+    povm = field("povm", _array_from_json, (None, dim, dim), True)
+    povm = None if povm is None else tuple(povm)
+    trials = field("trials", _int_from_json, 1)
+    seed = field("seed", _int_from_json, 0)
     return ScenarioConfig(
-        dim=dim,
-        generators=generators,
-        initial_state=initial_state,
-        theta_true=theta_true,
-        theta_guess=theta_guess,
-        t=t,
-        weight=weight,
-        kd_pair=kd_pair,
-        povm=povm,
-        trials=trials,
-        seed=seed,
+        dim, generators, initial_state, theta_true, theta_guess, t,
+        weight, kd_pair, povm, trials, seed,
     )
-
-
-def _complex_matrix_to_json(matrix) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(matrix, dtype=complex)]
 
 
 def scenario_to_dict(config: ScenarioConfig) -> dict:
     """Serialize a scenario to a JSON-ready dict, omitting absent options."""
+
+    def optional(value, encode):
+        return None if value is None else encode(value)
+
     data = {
         "dim": int(config.dim),
-        "generators": [_complex_matrix_to_json(g) for g in config.generators],
-        "initial_state": [
-            [float(v.real), float(v.imag)] for v in np.asarray(config.initial_state, dtype=complex)
-        ],
-        "theta_true": [float(v) for v in config.theta_true],
-        "theta_guess": [float(v) for v in config.theta_guess],
+        "generators": [_array_to_json(g, pairs=True) for g in config.generators],
+        "initial_state": _array_to_json(config.initial_state, pairs=True),
+        "theta_true": _array_to_json(config.theta_true),
+        "theta_guess": _array_to_json(config.theta_guess),
         "t": float(config.t),
+        "weight": optional(config.weight, _array_to_json),
+        "kd_pair": optional(config.kd_pair, lambda pair: [int(v) for v in pair]),
+        "povm": optional(config.povm, lambda povm: [_array_to_json(e, pairs=True) for e in povm]),
+        "trials": optional(config.trials, int),
+        "seed": optional(config.seed, int),
     }
-    if config.weight is not None:
-        data["weight"] = [[float(v) for v in row] for row in config.weight]
-    if config.kd_pair is not None:
-        data["kd_pair"] = [int(config.kd_pair[0]), int(config.kd_pair[1])]
-    if config.povm is not None:
-        data["povm"] = [_complex_matrix_to_json(e) for e in config.povm]
-    if config.trials is not None:
-        data["trials"] = int(config.trials)
-    if config.seed is not None:
-        data["seed"] = int(config.seed)
-    return data
+    return {key: value for key, value in data.items() if value is not None}
 
 
 def load_scenario(path) -> ScenarioConfig:

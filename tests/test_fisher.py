@@ -74,9 +74,11 @@ def test_qfim_from_tensor_rejects_asymmetric():
 
 
 def test_validate_povm_accepts_sic_and_projective():
-    validate_povm(sic_povm())
+    stack = validate_povm(sic_povm())
+    assert stack.shape == (4, 2, 2)
+    assert np.array_equal(stack, np.array(sic_povm()))
     rng = np.random.default_rng(5)
-    validate_povm(random_projective_povm(rng, 4))
+    assert validate_povm(random_projective_povm(rng, 4)).shape == (4, 4, 4)
 
 
 def test_validate_povm_rejects_bad_sets():

@@ -11,6 +11,7 @@ from qfisher import (
     ValidationError,
     analyze_pair,
     condition_on_postselection,
+    distillation_report,
     evolve,
     kd_distribution,
     kraus_from_estimate,
@@ -18,6 +19,7 @@ from qfisher import (
     negativity_report,
     qfim_entry_kd,
     qfim_postselected,
+    qfim_pure,
 )
 
 from helpers import (
@@ -28,6 +30,7 @@ from helpers import (
     random_hermitian,
     random_smeared_effect,
     random_state,
+    random_unitary,
     reference_circuit,
 )
 
@@ -70,6 +73,53 @@ def _oracle_projectors(operator):
     vals, vecs = np.linalg.eigh(operator)
     splits = np.flatnonzero(np.diff(vals) > 1e-6 * (vals[-1] - vals[0])) + 1
     return [block @ block.conj().T for block in np.split(vecs, splits, axis=1)]
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_kd_scalar_generator_is_one_cluster(dim):
+    """2*1 written in a random basis has eigenvalues spread by roundoff only.
+
+    They form one cluster, so the table is the one-cluster trace formula
+    Tr[F Q_l rho] over the clusters Q_l of the other generator.
+    """
+    rng = np.random.default_rng(55 + dim)
+    basis = random_unitary(rng, dim)
+    scalar = basis @ (2.0 * np.eye(dim)) @ basis.conj().T
+    circuit = EncodingCircuit((scalar, random_hermitian(rng, dim, 2.0)), random_state(rng, dim))
+    theta = np.array([0.3, -0.5])
+    effect = random_smeared_effect(rng, dim)
+    dist = kd_distribution(circuit, theta, (0, 1), effect)
+    assert dist.table.shape == (1, dim, 2)
+    assert dist.spread_i == 0.0
+    assert dist.eigenvalues_i == pytest.approx([2.0], abs=1e-12)
+    state = evolve(circuit, theta)
+    rho = np.outer(state, state.conj())
+    proj_j = _oracle_projectors(conjugated_generator(circuit, theta, 1))
+    for m, outcome in enumerate((effect, np.eye(dim) - effect)):
+        expected = kd_table_oracle([np.eye(dim)], outcome, proj_j, rho)
+        assert np.max(np.abs(dist.table[:, :, m] - expected)) < 1e-12
+    analysis = analyze_pair(circuit, theta, (0, 1), effect)
+    assert analysis.entry == 0.0
+    assert analysis.consistent
+
+
+def test_kd_scalar_generator_with_classical_pair_is_consistent():
+    """A one-cluster spectrum has bound 0; its entry must be exactly 0, not
+    roundoff that the relative slack would flag next to a classical table."""
+    rng = np.random.default_rng(57)
+    for _ in range(20):
+        basis = random_unitary(rng, 4)
+        scalar = basis @ (2.0 * np.eye(4)) @ basis.conj().T
+        diagonal = np.diag(rng.uniform(-1.0, 1.0, 4)).astype(complex)
+        circuit = EncodingCircuit((scalar, diagonal), random_state(rng, 4))
+        effect = np.diag(rng.uniform(0.2, 1.0, 4)).astype(complex)
+        dist = kd_distribution(circuit, [0.3, 0.2], (0, 1), effect)
+        conditioned, _ = condition_on_postselection(dist)
+        report = negativity_report(conditioned)
+        assert report.classical
+        entry = qfim_entry_kd(conditioned, dist.eigenvalues_i, dist.eigenvalues_j)
+        assert entry == 0.0
+        assert negativity_consistency_check(entry, dist.spread_i, dist.spread_j, report)
 
 
 def test_kd_table_matches_trace_oracle():
@@ -190,6 +240,8 @@ def test_entry_matches_direct_postselected_qfim():
 def test_entry_shape_validation():
     with pytest.raises(ValidationError):
         qfim_entry_kd(np.eye(2), [1.0, -1.0, 0.0], [1.0, -1.0])
+    with pytest.raises(ValidationError):
+        qfim_entry_kd(np.zeros((0, 0)), [], [])
 
 
 def test_negativity_report_classical_cases():
@@ -216,6 +268,69 @@ def test_consistency_check_truth_table():
     # beyond the bound only a nonclassical distribution is allowed
     assert negativity_consistency_check(4.5, 2.0, 2.0, nonclassical)
     assert not negativity_consistency_check(4.5, 2.0, 2.0, classical)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-5, 1e-9])
+def test_consistency_verdict_is_scale_free(scale):
+    """The reference entry beats its bound by the same factor at every scale,
+    so a classical report next to it is flagged at every scale."""
+    base = reference_circuit()
+    circuit = EncodingCircuit(tuple(scale * gen for gen in base.generators), base.initial_state)
+    theta = np.array([math.pi / 4.0, math.pi / 4.0]) / scale
+    guess = theta + np.array([0.1, -0.1]) / scale
+    plan = kraus_from_estimate(circuit, guess, 1.0 / math.sqrt(10.0))
+    analysis = analyze_pair(circuit, theta, (0, 1), plan.effect)
+    bound = analysis.spread_i * analysis.spread_j
+    assert bound == pytest.approx(4.0 * scale**2, rel=1e-12)
+    assert abs(analysis.entry) > 6.0 * bound
+    assert analysis.consistent
+    classical = negativity_report(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    assert not negativity_consistency_check(
+        analysis.entry, analysis.spread_i, analysis.spread_j, classical
+    )
+
+
+def _commuting_circuit(rng, dim, n_params):
+    """Generators with random spectra in one shared random basis."""
+    basis = random_unitary(rng, dim)
+    generators = tuple(
+        (basis * rng.uniform(-2.0, 2.0, dim)) @ basis.conj().T for _ in range(n_params)
+    )
+    return EncodingCircuit(generators, random_state(rng, dim))
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 6), n_params=st.integers(2, 4))
+def test_reordering_commuting_generators_permutes_results(seed, dim, n_params):
+    """Commuting gates give the same state in any order, so permuting the
+    generators together with theta permutes the QFIMs and keeps the KD table
+    of the mapped pair."""
+    rng = np.random.default_rng(seed)
+    circuit = _commuting_circuit(rng, dim, n_params)
+    theta = rng.uniform(-1.5, 1.5, n_params)
+    guess = theta + rng.uniform(-0.05, 0.05, n_params)
+    perm = rng.permutation(n_params)
+    moved = EncodingCircuit(tuple(circuit.generators[k] for k in perm), circuit.initial_state)
+    inverse = np.argsort(perm)
+
+    qfim = qfim_pure(circuit, theta)
+    assert np.max(np.abs(qfim_pure(moved, theta[perm]) - qfim[np.ix_(perm, perm)])) < 1e-9
+    report = distillation_report(circuit, theta, guess, 0.5)
+    moved_report = distillation_report(moved, theta[perm], guess[perm], 0.5)
+    assert moved_report.success_prob == pytest.approx(report.success_prob, abs=1e-12)
+    for name in ("qfim_undistilled", "qfim_exact", "qfim_predicted"):
+        before, after = getattr(report, name), getattr(moved_report, name)
+        scale = max(1.0, float(np.max(np.abs(before))))
+        assert np.max(np.abs(after - before[np.ix_(perm, perm)])) < 1e-9 * scale
+
+    pair = tuple(int(k) for k in rng.choice(n_params, 2, replace=False))
+    effect = kraus_from_estimate(circuit, guess, 0.5).effect
+    dist = kd_distribution(circuit, theta, pair, effect)
+    moved_dist = kd_distribution(moved, theta[perm], tuple(int(inverse[k]) for k in pair), effect)
+    assert moved_dist.table.shape == dist.table.shape
+    assert np.max(np.abs(moved_dist.table - dist.table)) < 1e-9
+    assert np.allclose(moved_dist.eigenvalues_i, dist.eigenvalues_i, rtol=0.0, atol=1e-12)
+    assert np.allclose(moved_dist.eigenvalues_j, dist.eigenvalues_j, rtol=0.0, atol=1e-12)
 
 
 def test_reference_pair_is_anomalous_and_nonclassical():

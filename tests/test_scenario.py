@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,14 @@ from qfisher import (
     scenario_to_dict,
 )
 
-from helpers import SIGMA_X, SIGMA_Z, sic_povm
+from helpers import (
+    SIGMA_X,
+    SIGMA_Z,
+    random_hermitian,
+    random_projective_povm,
+    random_state,
+    sic_povm,
+)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -96,6 +104,87 @@ def test_field_path_in_error_messages():
     data["theta_guess"] = [0.1]
     with pytest.raises(ValidationError, match="theta_guess"):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "key, index, bad",
+    [
+        ("povm", (1, 0, 1, 0), True),
+        ("povm", (1, 0, 1, 1), "0.5"),
+        ("povm", (1, 0), [[0.5, 0.0]]),
+        ("weight", (1, 0), False),
+        ("weight", (0, 1), "0"),
+        ("weight", (1,), [0.0]),
+        ("generators", (0, 1, 0), 1.0),
+        ("initial_state", (1,), 0.0),
+        ("povm", (0, 0, 0), 0.5),
+    ],
+    ids=[
+        "povm-bool",
+        "povm-string",
+        "povm-ragged-row",
+        "weight-bool",
+        "weight-string",
+        "weight-ragged-row",
+        "generators-plain-number",
+        "initial-state-plain-number",
+        "povm-plain-number",
+    ],
+)
+def test_bad_entry_rejected_with_its_path(key, index, bad):
+    data = scenario_to_dict(full_config())
+    parent = data[key]
+    for k in index[:-1]:
+        parent = parent[k]
+    parent[index[-1]] = bad
+    path = key + "".join(f"[{k}]" for k in index)
+    with pytest.raises(ValidationError, match="^" + re.escape(path) + ":"):
+        scenario_from_dict(data)
+
+
+def test_generated_scenario_round_trips_byte_identically(tmp_path):
+    rng = np.random.default_rng(61)
+    dim, n_params = 16, 3
+    raw = rng.standard_normal((n_params, n_params))
+    theta = rng.uniform(-1.5, 1.5, n_params)
+    config = ScenarioConfig(
+        dim=dim,
+        generators=tuple(random_hermitian(rng, dim, 2.0) for _ in range(n_params)),
+        initial_state=random_state(rng, dim),
+        theta_true=theta,
+        theta_guess=theta + 0.01,
+        t=0.4,
+        weight=raw @ raw.T + np.eye(n_params),
+        kd_pair=(0, 2),
+        povm=random_projective_povm(rng, dim),
+        trials=300,
+        seed=5,
+    )
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_scenario(config, first)
+    loaded = load_scenario(first)
+    save_scenario(loaded, second)
+    assert first.read_bytes() == second.read_bytes()
+    assert loaded == config
+    for before, after in zip(config.generators + config.povm, loaded.generators + loaded.povm):
+        assert before.tobytes() == after.tobytes()
+
+
+def test_signed_zeros_parse_bit_equal():
+    data = scenario_to_dict(minimal_config())
+    zeros = [[-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0], [0.0, 0.0]]
+    data["generators"][0] = [zeros[:2], zeros[2:]]
+    data["initial_state"] = [[1.0, -0.0], [-0.0, 0.0]]
+    data["theta_true"] = [-0.0, 0.7]
+    config = scenario_from_dict(data)
+    expected = np.array(zeros).view(complex)[..., 0].reshape(2, 2)
+    assert config.generators[0].tobytes() == expected.tobytes()
+    assert np.signbit(config.generators[0].real).tolist() == [[True, False], [True, False]]
+    assert np.signbit(config.generators[0].imag).tolist() == [[False, True], [True, False]]
+    assert np.signbit(config.initial_state.imag).tolist() == [True, False]
+    assert np.signbit(config.initial_state.real).tolist() == [False, True]
+    assert np.signbit(config.theta_true).tolist() == [True, False]
+    assert scenario_to_dict(config) == data
 
 
 def test_t_range_and_kd_pair_range():
