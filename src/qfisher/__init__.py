@@ -6,15 +6,7 @@ Kirkwood-Dirac quasiprobability negativity analysis, and a seeded Monte
 Carlo check of the classical Cramér-Rao bound.
 """
 
-from .circuit import (
-    EncodingCircuit,
-    as_pure_state,
-    derivative_state,
-    evolve,
-    finite_difference_state,
-    tangent_frame,
-    tilde_generator,
-)
+from .circuit import EncodingCircuit, as_pure_state, evolve, tangent_frame
 from .distill import (
     DistillationPlan,
     DistillationReport,
@@ -97,10 +89,8 @@ __all__ = [
     "condition_on_postselection",
     "crb_comparison",
     "curvature_postselected",
-    "derivative_state",
     "distillation_report",
     "evolve",
-    "finite_difference_state",
     "geometric_quantumness",
     "geometric_tensor",
     "kd_distribution",
@@ -124,7 +114,6 @@ __all__ = [
     "scenario_to_dict",
     "t_sweep",
     "tangent_frame",
-    "tilde_generator",
     "uhlmann_curvature",
     "validate_povm",
 ]

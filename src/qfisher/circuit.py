@@ -13,9 +13,6 @@ from .errors import ValidationError
 from .linalg import EigenDecomposition, herm_eig, require_hermitian
 
 STATE_NORM_TOL = 1e-10
-# Central-difference step for derivative cross-checks (truncation vs roundoff
-# balance at double precision).
-FD_STEP = 1e-5
 
 
 def as_pure_state(values, dim: int | None = None, name: str = "state") -> np.ndarray:
@@ -67,12 +64,6 @@ class EncodingCircuit:
     def generator_eig(self, m: int) -> EigenDecomposition:
         return self._eigs[m]
 
-    def unitary(self, m: int, angle: float) -> np.ndarray:
-        """exp(i*angle*generators[m]) from the cached eigendecomposition."""
-        eig = self._eigs[m]
-        phases = np.exp(1j * float(angle) * eig.eigenvalues)
-        return (eig.eigenvectors * phases) @ eig.eigenvectors.conj().T
-
 
 def as_param_vector(circuit: EncodingCircuit, theta, name: str = "theta") -> np.ndarray:
     """Coerce to a finite real vector of the circuit's parameter count."""
@@ -107,37 +98,12 @@ def evolve(circuit: EncodingCircuit, theta) -> np.ndarray:
     return _apply_gates(circuit, as_param_vector(circuit, theta), circuit.initial_state, 0)
 
 
-def tilde_generator(circuit: EncodingCircuit, theta, m) -> np.ndarray:
-    """Generator m conjugated by every later unitary in the circuit.
-
-    The returned operator shares the spectrum of generators[m]; the last
-    generator is returned unchanged.
-    """
-    values = as_param_vector(circuit, theta)
-    m = _check_index(m, circuit.n_params)
-    acc = circuit.generators[m]
-    for k in range(m + 1, circuit.n_params):
-        unitary = circuit.unitary(k, values[k])
-        acc = unitary @ acc @ unitary.conj().T
-    return (acc + acc.conj().T) / 2.0
-
-
-def derivative_state(circuit: EncodingCircuit, theta, j) -> np.ndarray:
-    """Tangent vector of the evolved state along parameter j.
-
-    Equals i * tilde_generator(j) |psi_theta| and is unnormalized; the
-    explicit factor i is what central finite differences of evolve()
-    reproduce.
-    """
-    j = _check_index(j, circuit.n_params)
-    return 1j * (tilde_generator(circuit, theta, j) @ evolve(circuit, theta))
-
-
 def tangent_frame(circuit: EncodingCircuit, theta) -> tuple[np.ndarray, np.ndarray]:
     """Evolved state plus all tangent vectors in one forward vector sweep.
 
-    Returns ``(state, tangents)`` with ``tangents[:, j]`` equal to
-    derivative_state(circuit, theta, j). A D x (M+1) block holds the state
+    Returns ``(state, tangents)`` with ``tangents[:, j]`` the derivative of
+    the state along theta[j]: i times generator j conjugated by every later
+    gate, applied to the state. A D x (M+1) block holds the state
     and the tangents built so far. Gates act in application order through
     the cached eigendecompositions A_m = V_m diag(a_m) V_m^dag: gate m
     rotates every column by V_m diag(exp(i theta_m a_m)) V_m^dag, then
@@ -158,20 +124,3 @@ def tangent_frame(circuit: EncodingCircuit, theta) -> tuple[np.ndarray, np.ndarr
         coeffs[:, m + 1] = 1j * eig.eigenvalues * coeffs[:, 0]
         block[:, : m + 2] = vecs @ coeffs
     return block[:, 0], block[:, 1:]
-
-
-def finite_difference_state(circuit: EncodingCircuit, theta, j, step: float = FD_STEP) -> np.ndarray:
-    """Central-difference tangent vector along parameter j.
-
-    Independent of the tilde-generator route; used to cross-check
-    derivative_state.
-    """
-    values = as_param_vector(circuit, theta)
-    j = _check_index(j, circuit.n_params)
-    if not (np.isfinite(step) and step > 0):
-        raise ValidationError("step must be a positive finite real")
-    forward = values.copy()
-    forward[j] += step
-    backward = values.copy()
-    backward[j] -= step
-    return (evolve(circuit, forward) - evolve(circuit, backward)) / (2.0 * step)

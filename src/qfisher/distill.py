@@ -17,8 +17,8 @@ import numpy as np
 from .circuit import EncodingCircuit, as_param_vector, evolve, tangent_frame
 from .errors import NumericError, ValidationError
 from .fisher import (
-    POSTSELECTION_PROB_FLOOR,
     WeightedRisk,
+    _check_success_prob,
     _postselected_tensor_from_frame,
     _tensor_from_frame,
     curvature_from_tensor,
@@ -85,11 +85,7 @@ def postselect(circuit: EncodingCircuit, theta, plan: DistillationPlan) -> tuple
     state = evolve(circuit, theta)
     filtered = plan.kraus @ state
     success_prob = float(np.real(filtered.conj() @ filtered))
-    if success_prob < POSTSELECTION_PROB_FLOOR:
-        raise NumericError(
-            f"postselection probability {success_prob:.6e} is below the "
-            f"{POSTSELECTION_PROB_FLOOR:g} floor"
-        )
+    _check_success_prob(success_prob)
     return filtered / np.sqrt(success_prob), success_prob
 
 

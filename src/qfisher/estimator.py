@@ -24,6 +24,8 @@ MLE_STEP_FLOOR = 1e-7
 MLE_FLATNESS_RTOL = 1e-9
 # Probability floor inside log-likelihoods; avoids log(0) for dead outcomes.
 LOGLIK_PROB_FLOOR = 1e-300
+# Largest |sum(probs) - 1| that sample_outcomes accepts.
+PROB_SUM_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,7 +63,7 @@ def sample_outcomes(probs, trials, seed) -> SampleBatch:
         raise ValidationError(f"probs must be a nonempty vector, got shape {probs.shape}")
     if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
         raise ValidationError("probs must be finite and non-negative")
-    if abs(float(probs.sum()) - 1.0) > 1e-8:
+    if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"probs sum to {float(probs.sum()):.12g}, expected 1")
     trials = _validate_trials(trials)
     seed = _check_seed(seed)

@@ -108,17 +108,22 @@ def postselected_geometric_tensor(
     return _postselected_tensor_from_frame(*tangent_frame(circuit, theta), mat)
 
 
+def _check_success_prob(success_prob: float) -> None:
+    """Abort postselected quantities whose success probability is below the floor."""
+    if success_prob < POSTSELECTION_PROB_FLOOR:
+        raise NumericError(
+            f"postselection probability {success_prob:.6e} is below the "
+            f"{POSTSELECTION_PROB_FLOOR:g} floor"
+        )
+
+
 def _postselected_tensor_from_frame(
     state: np.ndarray, tangents: np.ndarray, mat: np.ndarray
 ) -> tuple[np.ndarray, float]:
     """Postselected tensor from a frame; ``mat`` must already have passed
     require_effect."""
     success_prob = float(np.real(state.conj() @ mat @ state))
-    if success_prob < POSTSELECTION_PROB_FLOOR:
-        raise NumericError(
-            f"postselection probability {success_prob:.6e} is below the "
-            f"{POSTSELECTION_PROB_FLOOR:g} floor"
-        )
+    _check_success_prob(success_prob)
     weighted = mat @ tangents
     gram = tangents.conj().T @ weighted
     overlaps = tangents.conj().T @ (mat @ state)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import EncodingCircuit, _apply_gates, _check_index, as_param_vector, evolve
 from .errors import NumericError, ValidationError
-from .fisher import POSTSELECTION_PROB_FLOOR, require_effect
+from .fisher import _check_success_prob, require_effect
 
 # Adjacent eigenvalues no farther apart than this fraction of the
 # spectrum's spread are merged into one cluster.
@@ -145,11 +145,7 @@ def condition_on_postselection(dist: KdDistribution) -> tuple[np.ndarray, float]
     Returns ``(conditioned, success_prob)``.
     """
     success_prob = dist.success_prob
-    if success_prob < POSTSELECTION_PROB_FLOOR:
-        raise NumericError(
-            f"postselection probability {success_prob:.6e} is below the "
-            f"{POSTSELECTION_PROB_FLOOR:g} floor"
-        )
+    _check_success_prob(success_prob)
     return dist.table[:, :, 0] / success_prob, success_prob
 
 

@@ -203,9 +203,19 @@ def test_crb_rejects_too_few_batches(capsys):
     capsys.readouterr()
 
 
-def test_missing_scenario_file(capsys):
-    assert main(["qfim", "--scenario", "no-such-file.json"]) == 2
-    assert "error" in capsys.readouterr().err
+def test_missing_scenario_file(tmp_path, capsys):
+    # a missing file, a directory, non-UTF-8 bytes and a directory as --csv
+    # are all unreadable input: exit 2 with an error line, no traceback
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"name": "\xff"}')
+    for argv in (
+        ["qfim", "--scenario", "no-such-file.json"],
+        ["qfim", "--scenario", str(tmp_path)],
+        ["qfim", "--scenario", str(not_utf8)],
+        ["qfim", "--scenario", REFERENCE, "--csv", str(tmp_path)],
+    ):
+        assert main(argv) == 2
+        assert "error" in capsys.readouterr().err
 
 
 def test_invalid_json_scenario(tmp_path, capsys):

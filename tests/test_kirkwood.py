@@ -367,3 +367,7 @@ def test_pair_validation():
         kd_distribution(circuit, [0.1, 0.2], (0,), effect)
     with pytest.raises(ValidationError):
         kd_distribution(circuit, [0.1, 0.2], (0, 1.5), effect)
+    with pytest.raises(ValidationError):
+        kd_distribution(circuit, [0.1, 0.2], (-1, 0), effect)
+    with pytest.raises(ValidationError):
+        kd_distribution(circuit, [0.1, 0.2], (True, 0), effect)
