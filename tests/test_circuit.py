@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from qfisher import EncodingCircuit, ValidationError, evolve, tangent_frame
-from qfisher.circuit import _apply_gates
+from qfisher.circuit import _apply_gates, _check_index
 
 from helpers import (
     SIGMA_X,
@@ -115,6 +115,15 @@ def test_tilde_generator_preserves_spectrum():
         tilde = conjugated_generator(circuit, theta, m)
         original = np.linalg.eigvalsh(circuit.generators[m])
         assert np.max(np.abs(np.linalg.eigvalsh(tilde) - original)) < 1e-10
+
+
+def test_index_validation():
+    # every per-parameter entry point checks its index through _check_index
+    assert _check_index(0, 1) == 0
+    assert type(_check_index(np.int64(2), 3)) is int
+    for bad in (1, -1, True, 0.0):
+        with pytest.raises(ValidationError):
+            _check_index(bad, 1)
 
 
 # The gate step applied to the identity block is the gate unitary; evolve,
