@@ -16,6 +16,7 @@ numerical degeneracy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -74,6 +75,13 @@ def _scenario_circuit(args) -> tuple[ScenarioConfig, EncodingCircuit]:
     return config, build_circuit(config)
 
 
+def _open_csv(path, default=None):
+    """Open the --csv target before any computation, so a bad path fails fast."""
+    if path:
+        return open(path, "w", newline="", encoding="utf-8")
+    return contextlib.nullcontext(default)
+
+
 def _risk_line(label: str, risk) -> None:
     if risk is None:
         print(f"{label}: unavailable (singular information matrix)")
@@ -83,14 +91,14 @@ def _risk_line(label: str, risk) -> None:
 
 def cmd_qfim(args) -> int:
     config, circuit = _scenario_circuit(args)
-    tensor = geometric_tensor(circuit, config.theta_true)
-    qfim = qfim_from_tensor(tensor)
-    curvature = curvature_from_tensor(tensor)
-    print_vector("theta_true", config.theta_true)
-    print_matrix("qfim", qfim)
-    print_matrix("uhlmann_curvature", curvature)
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
+    with _open_csv(args.csv) as handle:
+        tensor = geometric_tensor(circuit, config.theta_true)
+        qfim = qfim_from_tensor(tensor)
+        curvature = curvature_from_tensor(tensor)
+        print_vector("theta_true", config.theta_true)
+        print_matrix("qfim", qfim)
+        print_matrix("uhlmann_curvature", curvature)
+        if handle is not None:
             writer = csv.writer(handle)
             writer.writerow(["i", "j", "qfim", "uhlmann"])
             for i in range(circuit.n_params):
@@ -180,49 +188,40 @@ def cmd_sweep(args) -> int:
     config, circuit = _scenario_circuit(args)
     t_values = _parse_t_list(args.t_list)
     trials = 1 if config.trials is None else config.trials
-    points = t_sweep(
-        circuit, config.theta_true, config.theta_guess, t_values, config.weight, trials
-    )
-    rows = []
-    for point in points:
-        if point.report is None:
-            print(f"warning: t={fmt(point.transmissivity)}: {point.error}", file=sys.stderr)
-            continue
-        report = point.report
-        try:
-            risk_lower, risk_upper = learnability_interval(
-                report.success_prob * report.qfim_exact, config.weight, trials
-            )
-        except NumericError:
-            risk_lower = risk_upper = math.nan
-        rows.append(
-            [
-                fmt_csv(report.transmissivity),
-                fmt_csv(report.success_prob),
-                fmt_csv(np.linalg.det(report.qfim_exact)),
-                fmt_csv(np.linalg.det(report.qfim_predicted)),
-                fmt_csv(report.lossless_residual),
-                fmt_csv(risk_lower),
-                fmt_csv(risk_upper),
-                fmt_csv(report.regime_ratio),
-            ]
+    with _open_csv(args.csv, sys.stdout) as handle:
+        points = t_sweep(
+            circuit, config.theta_true, config.theta_guess, t_values, config.weight, trials
         )
-    if not rows:
-        print("error: every sweep point failed", file=sys.stderr)
-        return 3
-    if args.csv:
-        handle = open(args.csv, "w", newline="", encoding="utf-8")
-        close = True
-    else:
-        handle = sys.stdout
-        close = False
-    try:
+        rows = []
+        for point in points:
+            if point.report is None:
+                print(f"warning: t={fmt(point.transmissivity)}: {point.error}", file=sys.stderr)
+                continue
+            report = point.report
+            try:
+                risk_lower, risk_upper = learnability_interval(
+                    report.success_prob * report.qfim_exact, config.weight, trials
+                )
+            except NumericError:
+                risk_lower = risk_upper = math.nan
+            rows.append(
+                [
+                    fmt_csv(report.transmissivity),
+                    fmt_csv(report.success_prob),
+                    fmt_csv(np.linalg.det(report.qfim_exact)),
+                    fmt_csv(np.linalg.det(report.qfim_predicted)),
+                    fmt_csv(report.lossless_residual),
+                    fmt_csv(risk_lower),
+                    fmt_csv(risk_upper),
+                    fmt_csv(report.regime_ratio),
+                ]
+            )
+        if not rows:
+            print("error: every sweep point failed", file=sys.stderr)
+            return 3
         writer = csv.writer(handle)
         writer.writerow(_SWEEP_COLUMNS)
         writer.writerows(rows)
-    finally:
-        if close:
-            handle.close()
     return 0
 
 
@@ -346,23 +345,23 @@ def cmd_crb(args) -> int:
         raise ValidationError(f"scenario lacks fields needed by crb: {', '.join(missing)}")
     if args.batches < 2:
         raise ValidationError(f"--batches must be >= 2, got {args.batches}")
-    study = run_crb_study(
-        circuit,
-        config.theta_true,
-        config.povm,
-        config.trials,
-        args.batches,
-        config.seed,
-        theta_init=config.theta_guess,
-    )
-    print(f"master_seed: {study.master_seed}")
-    print(f"trials: {study.trials}")
-    print(f"batches: {len(study.batches)}")
-    print_matrix("crb_bound", study.comparison.bound)
-    print_matrix("empirical_cov", study.comparison.empirical_cov)
-    print(f"slack: {fmt(study.comparison.slack)}")
-    if args.csv:
-        with open(args.csv, "w", newline="", encoding="utf-8") as handle:
+    with _open_csv(args.csv) as handle:
+        study = run_crb_study(
+            circuit,
+            config.theta_true,
+            config.povm,
+            config.trials,
+            args.batches,
+            config.seed,
+            theta_init=config.theta_guess,
+        )
+        print(f"master_seed: {study.master_seed}")
+        print(f"trials: {study.trials}")
+        print(f"batches: {len(study.batches)}")
+        print_matrix("crb_bound", study.comparison.bound)
+        print_matrix("empirical_cov", study.comparison.empirical_cov)
+        print(f"slack: {fmt(study.comparison.slack)}")
+        if handle is not None:
             writer = csv.writer(handle)
             writer.writerow(
                 ["batch", "seed"] + [f"estimate_{m}" for m in range(circuit.n_params)]
@@ -433,10 +432,7 @@ def main(argv=None) -> int:
 def _run(args) -> int:
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, UnicodeDecodeError) as exc:
+    except (ValidationError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:

@@ -14,35 +14,32 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, as_param_vector, evolve, tangent_frame
+from .circuit import STATE_NORM_TOL, EncodingCircuit, as_param_vector, evolve, tangent_frame
 from .errors import NumericError, ValidationError
 from .fisher import (
     WeightedRisk,
     _check_success_prob,
-    _postselected_tensor_from_frame,
     _tensor_from_frame,
     curvature_from_tensor,
     postselected_geometric_tensor,
     qfim_from_tensor,
     scalar_risk,
-    validate_povm,
 )
-
-# Kraus-vs-effect consistency slack; both are exact polynomials in rho.
-PLAN_CONSTRUCTION_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class DistillationPlan:
     """A postselection filter anchored at a parameter guess.
 
-    ``kraus`` K = (t - 1) rho_guess + 1 acts on the encoded state;
-    ``effect`` F = K^dag K = (t^2 - 1) rho_guess + 1 is the success
-    outcome of the induced two-outcome measurement.
+    ``guess_state`` g is the encoded state at ``theta_guess``. ``kraus``
+    K = 1 - (1 - t)|g><g| acts on the encoded state; ``effect`` F = K^dag K =
+    1 - (1 - t^2)|g><g| is the success outcome of the induced two-outcome
+    measurement. The plan's own paths apply K in split form, not densely.
     """
 
     transmissivity: float
     theta_guess: np.ndarray
+    guess_state: np.ndarray
     kraus: np.ndarray
     effect: np.ndarray
 
@@ -61,19 +58,29 @@ def kraus_from_estimate(circuit: EncodingCircuit, theta_guess, t) -> Distillatio
     t = _check_transmissivity(t)
     theta_guess = as_param_vector(circuit, theta_guess, "theta_guess").copy()
     guess_state = evolve(circuit, theta_guess)
+    # K^dag K - F = (1 - t)^2 (|g|^2 - 1)|g><g| and F has eigenvalues 1 and
+    # 1 + (t^2 - 1)|g|^2, so a unit g makes F = K^dag K a valid effect.
+    drift = abs(float(np.linalg.norm(guess_state)) - 1.0)
+    if drift > STATE_NORM_TOL:
+        raise NumericError(f"guess state is off the unit sphere: |norm - 1| = {drift:.3e}")
     rho_guess = np.outer(guess_state, guess_state.conj())
     identity = np.eye(circuit.dim)
     kraus = (t - 1.0) * rho_guess + identity
     effect = (t * t - 1.0) * rho_guess + identity
-    drift = float(np.max(np.abs(kraus.conj().T @ kraus - effect)))
-    if drift > PLAN_CONSTRUCTION_TOL:
-        raise NumericError(f"filter effect drifts from K^dag K by {drift:.3e}")
-    effect, _ = validate_povm((effect, identity - effect), circuit.dim)
-    for arr in (theta_guess, kraus, effect):
+    for arr in (theta_guess, guess_state, kraus, effect):
         arr.setflags(write=False)
-    return DistillationPlan(
-        transmissivity=t, theta_guess=theta_guess, kraus=kraus, effect=effect
-    )
+    return DistillationPlan(t, theta_guess, guess_state, kraus, effect)
+
+
+def _filter_frame(plan: DistillationPlan, frame: np.ndarray) -> tuple[np.ndarray, float]:
+    """K on each column v of a D x k frame in split form (t<g|v>, v - g<g|v>), and
+    the success probability of column 0. The two parts are orthogonal, so inner
+    products are plain sums with nothing to cancel against 1, exact at any t."""
+    along = plan.guess_state.conj() @ frame
+    split = np.vstack((plan.transmissivity * along, frame - np.outer(plan.guess_state, along)))
+    success_prob = float(np.real(np.vdot(split[:, 0], split[:, 0])))
+    _check_success_prob(success_prob)
+    return split, success_prob
 
 
 def postselect(circuit: EncodingCircuit, theta, plan: DistillationPlan) -> tuple[np.ndarray, float]:
@@ -82,10 +89,8 @@ def postselect(circuit: EncodingCircuit, theta, plan: DistillationPlan) -> tuple
     Returns ``(postselected_state, success_prob)`` with the state
     renormalized. Success probability below the floor aborts.
     """
-    state = evolve(circuit, theta)
-    filtered = plan.kraus @ state
-    success_prob = float(np.real(filtered.conj() @ filtered))
-    _check_success_prob(success_prob)
+    split, success_prob = _filter_frame(plan, evolve(circuit, theta)[:, None])
+    filtered = split[0, 0] * plan.guess_state + split[1:, 0]
     return filtered / np.sqrt(success_prob), success_prob
 
 
@@ -151,8 +156,9 @@ def distillation_report(
     plain = _tensor_from_frame(state, tangents)
     qfim_plain = qfim_from_tensor(plain)
     curvature_plain = curvature_from_tensor(plain)
-    # plan.effect passed require_effect inside validate_povm and is write-locked.
-    tensor, success_prob = _postselected_tensor_from_frame(state, tangents, plan.effect)
+    filtered, success_prob = _filter_frame(plan, np.column_stack((state, tangents)))
+    filtered /= np.sqrt(success_prob)
+    tensor = _tensor_from_frame(filtered[:, 0], filtered[:, 1:])
     qfim_exact = qfim_from_tensor(tensor)
     curvature_exact = curvature_from_tensor(tensor)
     qfim_predicted = qfim_plain / plan.transmissivity**2

@@ -105,7 +105,13 @@ def postselected_geometric_tensor(
     (1/p) <d_i psi|F|d_j psi> - (1/p^2) <d_i psi|F|psi><psi|F|d_j psi>.
     """
     mat = require_effect(effect, circuit.dim)
-    return _postselected_tensor_from_frame(*tangent_frame(circuit, theta), mat)
+    state, tangents = tangent_frame(circuit, theta)
+    success_prob = float(np.real(state.conj() @ mat @ state))
+    _check_success_prob(success_prob)
+    gram = tangents.conj().T @ (mat @ tangents)
+    overlaps = tangents.conj().T @ (mat @ state)
+    tensor = gram / success_prob - np.outer(overlaps, overlaps.conj()) / success_prob**2
+    return tensor, success_prob
 
 
 def _check_success_prob(success_prob: float) -> None:
@@ -115,20 +121,6 @@ def _check_success_prob(success_prob: float) -> None:
             f"postselection probability {success_prob:.6e} is below the "
             f"{POSTSELECTION_PROB_FLOOR:g} floor"
         )
-
-
-def _postselected_tensor_from_frame(
-    state: np.ndarray, tangents: np.ndarray, mat: np.ndarray
-) -> tuple[np.ndarray, float]:
-    """Postselected tensor from a frame; ``mat`` must already have passed
-    require_effect."""
-    success_prob = float(np.real(state.conj() @ mat @ state))
-    _check_success_prob(success_prob)
-    weighted = mat @ tangents
-    gram = tangents.conj().T @ weighted
-    overlaps = tangents.conj().T @ (mat @ state)
-    tensor = gram / success_prob - np.outer(overlaps, overlaps.conj()) / success_prob**2
-    return tensor, success_prob
 
 
 def qfim_from_tensor(tensor) -> np.ndarray:
@@ -154,8 +146,10 @@ def qfim_from_tensor(tensor) -> np.ndarray:
 
 def curvature_from_tensor(tensor) -> np.ndarray:
     """Extract the Uhlmann curvature (4x imaginary part), exactly antisymmetric."""
-    curvature = 4.0 * np.imag(np.asarray(tensor))
-    scale = max(1.0, float(np.max(np.abs(curvature))))
+    tensor = np.asarray(tensor)
+    curvature = 4.0 * np.imag(tensor)
+    # Roundoff in the imaginary part scales with the whole tensor, not the curvature.
+    scale = max(1.0, 4.0 * float(np.max(np.abs(tensor))))
     drift = float(np.max(np.abs(curvature + curvature.T)))
     if drift > QFIM_SYMMETRY_TOL * scale:
         raise NumericError(f"computed curvature symmetry drift {drift:.3e} exceeds tolerance")

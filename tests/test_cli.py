@@ -205,7 +205,8 @@ def test_crb_rejects_too_few_batches(capsys):
 
 def test_missing_scenario_file(tmp_path, capsys):
     # a missing file, a directory, non-UTF-8 bytes and a directory as --csv
-    # are all unreadable input: exit 2 with an error line, no traceback
+    # are all unreadable input: exit 2 with an error line, no traceback. The
+    # --csv target is opened before any computation, so nothing is printed.
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"name": "\xff"}')
     for argv in (
@@ -213,9 +214,13 @@ def test_missing_scenario_file(tmp_path, capsys):
         ["qfim", "--scenario", str(tmp_path)],
         ["qfim", "--scenario", str(not_utf8)],
         ["qfim", "--scenario", REFERENCE, "--csv", str(tmp_path)],
+        ["crb", "--scenario", SINGLE, "--batches", "5", "--csv", str(tmp_path)],
+        ["sweep", "--scenario", REFERENCE, "--t-list", "0.5", "--csv", str(tmp_path)],
     ):
         assert main(argv) == 2
-        assert "error" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "error" in captured.err
+        assert captured.out == ""
 
 
 def test_invalid_json_scenario(tmp_path, capsys):

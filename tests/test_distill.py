@@ -1,15 +1,20 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import qfisher.distill
 from qfisher import (
+    EncodingCircuit,
+    NumericError,
     ValidationError,
+    build_circuit,
     curvature_postselected,
     distillation_report,
     evolve,
     kraus_from_estimate,
+    load_scenario,
     postselect,
     qfim_postselected,
     qfim_pure,
@@ -17,7 +22,11 @@ from qfisher import (
     uhlmann_curvature,
 )
 
-from helpers import random_circuit, reference_circuit
+from qfisher.circuit import STATE_NORM_TOL
+
+from helpers import SIGMA_X, SIGMA_Z, random_circuit, reference_circuit
+
+COMMUTING = Path(__file__).resolve().parent.parent / "scenarios" / "commuting_classical.json"
 
 
 def test_transmissivity_validation():
@@ -61,6 +70,41 @@ def test_postselect_at_guess_point_succeeds_with_t_squared():
             plain = evolve(circuit, theta)
             overlap = abs(np.vdot(state, plain))
             assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+def test_postselect_matches_dense_kraus_for_inexact_guess():
+    rng = np.random.default_rng(63)
+    for t in (1.0, 0.3, 0.1):
+        for _ in range(5):
+            circuit = random_circuit(rng, max_dim=8)
+            theta = rng.uniform(-1.5, 1.5, circuit.n_params)
+            guess = theta + 0.2 * rng.standard_normal(circuit.n_params)
+            plan = kraus_from_estimate(circuit, guess, t)
+            state, prob = postselect(circuit, theta, plan)
+            filtered = plan.kraus @ evolve(circuit, theta)
+            dense_prob = float(np.real(np.vdot(filtered, filtered)))
+            assert prob == pytest.approx(dense_prob, rel=1e-12, abs=0.0)
+            assert np.max(np.abs(state - filtered / np.sqrt(dense_prob))) < 1e-12
+
+
+def test_guess_state_off_the_unit_sphere_is_rejected(monkeypatch):
+    circuit = reference_circuit()
+    original = qfisher.distill.evolve
+
+    def stretched(circuit, theta):
+        return (1.0 + 10.0 * STATE_NORM_TOL) * original(circuit, theta)
+
+    monkeypatch.setattr(qfisher.distill, "evolve", stretched)
+    with pytest.raises(NumericError, match="unit sphere"):
+        kraus_from_estimate(circuit, [0.2, 0.3], 0.5)
+
+
+def test_plan_accepts_initial_state_inside_norm_tolerance():
+    # the circuit accepts this state, so the filter built on it must too
+    state = np.array([1.0 + 0.9 * STATE_NORM_TOL, 0.0], dtype=complex)
+    circuit = EncodingCircuit((SIGMA_X, SIGMA_Z), state)
+    plan = kraus_from_estimate(circuit, [0.2, 0.3], 0.5)
+    assert np.linalg.norm(plan.guess_state) == pytest.approx(1.0 + 0.9 * STATE_NORM_TOL)
 
 
 def test_perfect_guess_boosts_qfim_by_inverse_t_squared():
@@ -107,9 +151,33 @@ def test_report_matches_separate_computations():
         curvature_exact, _ = curvature_postselected(circuit, theta, plan.effect)
         assert np.array_equal(report.qfim_undistilled, qfim_pure(circuit, theta))
         assert np.array_equal(report.curvature_undistilled, uhlmann_curvature(circuit, theta))
-        assert np.array_equal(report.qfim_exact, qfim_exact)
-        assert np.array_equal(report.curvature_exact, curvature_exact)
-        assert report.success_prob == prob
+        # The report filters in split form, the effect route densely: the two
+        # agree to roundoff, measured against the postselected tensor's size.
+        scale = float(np.max(np.abs(qfim_exact)))
+        assert np.max(np.abs(report.qfim_exact - qfim_exact)) <= 1e-12 * scale
+        assert np.max(np.abs(report.curvature_exact - curvature_exact)) <= 1e-12 * scale
+        assert report.success_prob == pytest.approx(prob, rel=1e-12, abs=0.0)
+
+
+def test_exact_guess_distils_losslessly_at_small_t():
+    rng = np.random.default_rng(78)
+    for dim in (4, 32, 128):
+        circuit = random_circuit(rng, dim=dim, n_params=4)
+        theta = rng.uniform(-1.5, 1.5, circuit.n_params)
+        for t in (1e-1, 1e-3, 1e-5):
+            report = distillation_report(circuit, theta, theta, t)
+            assert abs(report.success_prob / (t * t) - 1.0) <= 1e-12
+            plain = report.qfim_undistilled
+            gap = np.max(np.abs(report.success_prob * report.qfim_exact - plain))
+            assert gap <= 1e-12 * np.max(np.abs(plain))
+
+
+def test_commuting_report_at_small_t_has_no_curvature():
+    # Im(tensor) carries roundoff of the whole tensor, about 1e10 here; the
+    # curvature gate must not read that as antisymmetry drift.
+    config = load_scenario(COMMUTING)
+    report = distillation_report(build_circuit(config), config.theta_true, config.theta_guess, 1e-5)
+    assert np.max(np.abs(report.curvature_exact)) <= 1e-12 * np.max(np.abs(report.qfim_exact))
 
 
 def test_report_builds_one_tangent_frame(monkeypatch):
