@@ -9,19 +9,19 @@ bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import EncodingCircuit, _apply_gates, as_param_vector, evolve
 from .errors import NumericError, ValidationError
-from .fisher import _validate_trials, classical_fim, validate_povm
+from .fisher import PROBABILITY_FLOOR, _CheckedPovm, _effects, _outcome_slopes
+from .fisher import _check_count, classical_fim, validate_povm
 from .linalg import invert
 
-# Coordinate-descent step is halved until it drops below this floor.
-MLE_STEP_FLOOR = 1e-7
-# Relative log-likelihood spread below which the surface counts as flat.
-MLE_FLATNESS_RTOL = 1e-9
+# Fisher-scoring iterations after which a fit counts as non-convergent.
+MLE_MAX_ITERATIONS = 100
 # Probability floor inside log-likelihoods; avoids log(0) for dead outcomes.
 LOGLIK_PROB_FLOOR = 1e-300
 # Largest |sum(probs) - 1| that sample_outcomes accepts.
@@ -37,17 +37,9 @@ class SampleBatch:
     counts: np.ndarray
 
 
-def _check_seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed must be a non-negative integer, got {seed!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be non-negative, got {seed}")
-    return int(seed)
-
-
 def outcome_probabilities(circuit: EncodingCircuit, theta, povm) -> np.ndarray:
     """Outcome distribution of the POVM on the encoded state at theta."""
-    effects = validate_povm(povm, circuit.dim)
+    effects = _effects(povm, circuit.dim)
     state = evolve(circuit, theta)
     return np.maximum(np.real((effects @ state) @ state.conj()), 0.0)
 
@@ -65,8 +57,8 @@ def sample_outcomes(probs, trials, seed) -> SampleBatch:
         raise ValidationError("probs must be finite and non-negative")
     if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"probs sum to {float(probs.sum()):.12g}, expected 1")
-    trials = _validate_trials(trials)
-    seed = _check_seed(seed)
+    trials = _check_count(trials, "trials")
+    seed = _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     draws = rng.random(trials)
     edges = np.cumsum(probs)
@@ -94,16 +86,15 @@ def mle_fit(
     theta_init,
     search_radius: float = 0.5,
 ) -> np.ndarray:
-    """Maximum-likelihood estimate by deterministic coordinate descent.
+    """Maximum-likelihood estimate by deterministic Fisher scoring.
 
-    Searches the box theta_init +- search_radius with a step that halves
-    from search_radius/2 down to MLE_STEP_FLOOR. Candidate moves for a
-    coordinate are fixed when the coordinate comes up in the sweep, moves
-    are accepted only on strict improvement, so the walk is reproducible.
-    A flat likelihood surface (no information in the data) raises instead
-    of returning an arbitrary point.
+    Moves theta to clip(theta + I^-1 s) in the box theta_init +- search_radius,
+    with score s and expected information I from one tangent frame; a move that
+    falls short of a quarter of its predicted gain is halved along its longest
+    information axes. A flat likelihood, with no information the log-likelihood
+    can resolve, raises, and so does a fit still moving after MLE_MAX_ITERATIONS.
     """
-    effects = validate_povm(povm, circuit.dim)
+    effects = _effects(povm, circuit.dim)
     theta = as_param_vector(circuit, theta_init, "theta_init").copy()
     if not isinstance(search_radius, (int, float, np.floating)) or isinstance(search_radius, bool):
         raise ValidationError(f"search_radius must be a positive number, got {search_radius!r}")
@@ -116,45 +107,49 @@ def mle_fit(
         raise ValidationError(
             f"batch has {batch.counts.size} outcome counts, povm has {len(effects)}"
         )
-    lower = theta - radius
-    upper = theta + radius
+    lower, upper = theta - radius, theta + radius
 
     def objective(point):
-        # Points come from the validated theta_init and are finite; the log
-        # floor in loglikelihood also covers roundoff-negative probabilities.
+        # The log floor in loglikelihood covers roundoff-negative probabilities.
         state = _apply_gates(circuit, point, circuit.initial_state, 0)
         return loglikelihood(batch.counts, np.real((effects @ state) @ state.conj()))
 
     best = objective(theta)
-    seen_min = best
-    seen_max = best
-    step = radius / 2.0
-    while step >= MLE_STEP_FLOOR:
-        improved_at_step = True
-        while improved_at_step:
-            improved_at_step = False
-            for m in range(circuit.n_params):
-                candidates = (theta[m] - step, theta[m] + step)
-                for candidate in candidates:
-                    clipped = min(max(candidate, lower[m]), upper[m])
-                    if clipped == theta[m]:
-                        continue
-                    trial_theta = theta.copy()
-                    trial_theta[m] = clipped
-                    value = objective(trial_theta)
-                    seen_min = min(seen_min, value)
-                    seen_max = max(seen_max, value)
-                    if value > best:
-                        best = value
-                        theta = trial_theta
-                        improved_at_step = True
-        step /= 2.0
-    if seen_max - seen_min < MLE_FLATNESS_RTOL * max(1.0, abs(seen_max)):
-        raise NumericError(
-            "likelihood surface is flat over the search box; the data carry "
-            "no parameter information"
-        )
-    return theta
+    prior, tie = np.inf, 64.0 * np.finfo(float).eps
+    for iteration in range(MLE_MAX_ITERATIONS):
+        probs, slopes = _outcome_slopes(effects, circuit, theta)
+        weighted = slopes.T / np.maximum(probs, PROBABILITY_FLOOR)
+        info, score = batch.counts.sum() * weighted @ slopes, weighted @ batch.counts
+        # Roundoff of the log-likelihood, at least eps per count: smaller changes are ties.
+        slack = tie * (abs(best) + batch.counts.sum())
+        # Edge coordinates whose score points out of the box stay put.
+        free = ~((theta == lower) & (score < 0) | (theta == upper) & (score > 0))
+        curvature, axes = np.linalg.eigh(info[np.ix_(free, free)])
+        # Axes whose curvature across the box is a tie carry no information.
+        resolved = radius**2 * curvature > slack
+        if iteration == 0 and not resolved.any():
+            raise NumericError("likelihood is flat at theta_init: no resolvable information")
+        newton = np.divide(score[free] @ axes, curvature, out=np.zeros(len(axes)), where=resolved)
+        step, reach = np.zeros_like(theta), np.inf
+        while True:
+            step[free] = axes @ np.clip(newton, -reach, reach)
+            trial = np.clip(theta + step, lower, upper)
+            move = trial - theta
+            # Quadratic-model gain; a move whose gain is a tie cannot be checked.
+            gain = score @ move - 0.5 * move @ info @ move
+            if abs(gain) <= slack:
+                break
+            value = objective(trial)
+            if value - best >= max(gain, 0.0) / 4.0 - slack:
+                gain, best = value - best, value
+                break
+            reach = min(reach, float(np.max(np.abs(newton)))) / 2.0
+        size, theta = float(np.max(np.abs(move))), trial
+        # Done once theta cannot resolve the move, or gains tie and moves stop halving.
+        if size <= tie * (radius + np.abs(theta).max()) or (gain <= slack and size >= prior / 2):
+            return theta
+        prior = size
+    raise NumericError(f"Fisher scoring did not converge in {MLE_MAX_ITERATIONS} iterations")
 
 
 @dataclass(frozen=True)
@@ -179,7 +174,7 @@ def crb_comparison(
     covariance is taken about the batch mean with one delta degree of
     freedom, and the bound is [trials * classical_fim]^-1.
     """
-    trials = _validate_trials(trials)
+    trials = _check_count(trials, "trials")
     theta_true = as_param_vector(circuit, theta_true, "theta_true")
     stacked = np.asarray(estimates, dtype=float)
     if stacked.ndim != 2 or stacked.shape[1] != circuit.n_params:
@@ -221,27 +216,22 @@ def run_crb_study(
 
     Batch k uses seed master_seed + k, so the whole study is reproducible
     from one integer. theta_init defaults to theta_true: the study checks
-    estimator spread, not global optimization.
+    estimator spread, not global optimization. Estimates on the search-box
+    edge are counted in one RuntimeWarning.
     """
     theta_true = as_param_vector(circuit, theta_true, "theta_true")
-    master_seed = _check_seed(master_seed)
-    n_batches = _validate_trials(batches)
-    if n_batches < 2:
-        raise ValidationError("need at least 2 batches to estimate a covariance")
+    trials = _check_count(trials, "trials")
+    master_seed = _check_count(master_seed, "master_seed", 0)
+    n_batches = _check_count(batches, "batches", 2)
     init = theta_true if theta_init is None else as_param_vector(circuit, theta_init, "theta_init")
+    # One validation: the probabilities, the fits and the bound reuse the stack.
+    povm = validate_povm(povm, circuit.dim).view(_CheckedPovm)
     probs = outcome_probabilities(circuit, theta_true, povm)
-    sampled = []
-    fits = []
-    for k in range(n_batches):
-        batch = sample_outcomes(probs, trials, master_seed + k)
-        sampled.append(batch)
-        fits.append(mle_fit(batch, circuit, povm, init, search_radius))
-    estimates = np.array(fits)
+    sampled = tuple(sample_outcomes(probs, trials, master_seed + k) for k in range(n_batches))
+    estimates = np.array([mle_fit(batch, circuit, povm, init, search_radius) for batch in sampled])
+    on_edge = ((estimates == init - search_radius) | (estimates == init + search_radius)).any(1)
+    if on_edge.any():
+        message = f"{on_edge.sum()} of {n_batches} estimates lie on the search-box edge"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
     comparison = crb_comparison(estimates, circuit, theta_true, povm, trials)
-    return CrbStudy(
-        master_seed=master_seed,
-        trials=_validate_trials(trials),
-        batches=tuple(sampled),
-        estimates=estimates,
-        comparison=comparison,
-    )
+    return CrbStudy(master_seed, trials, sampled, estimates, comparison)

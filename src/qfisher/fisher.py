@@ -79,6 +79,21 @@ def validate_povm(effects, dim: int | None = None) -> np.ndarray:
     return stack
 
 
+class _CheckedPovm(np.ndarray):
+    """An effect stack validate_povm accepted, handed on without a second check."""
+
+
+def _effects(povm, dim: int) -> np.ndarray:
+    return povm.view(np.ndarray) if isinstance(povm, _CheckedPovm) else validate_povm(povm, dim)
+
+
+def _outcome_slopes(effects: np.ndarray, circuit: EncodingCircuit, theta):
+    """Outcome probabilities <psi|F_k|psi> and their theta-slopes from one tangent frame."""
+    state, tangents = tangent_frame(circuit, theta)
+    weighted = effects @ state
+    return np.real(weighted @ state.conj()), 2.0 * np.real(weighted.conj() @ tangents)
+
+
 def geometric_tensor(circuit: EncodingCircuit, theta) -> np.ndarray:
     """Complex M x M tensor whose real part is QFIM/4 and imaginary part
     is the Uhlmann curvature / 4.
@@ -90,9 +105,9 @@ def geometric_tensor(circuit: EncodingCircuit, theta) -> np.ndarray:
 
 
 def _tensor_from_frame(state: np.ndarray, tangents: np.ndarray) -> np.ndarray:
-    gram = tangents.conj().T @ tangents
-    overlaps = state.conj() @ tangents
-    return gram - np.outer(overlaps.conj(), overlaps)
+    # Gram of the tangents projected off the unit state: no O(1) terms cancel.
+    projected = tangents - np.outer(state, state.conj() @ tangents)
+    return projected.conj().T @ projected
 
 
 def postselected_geometric_tensor(
@@ -175,11 +190,7 @@ def classical_fim(circuit: EncodingCircuit, theta, povm) -> np.ndarray:
     dropped outcome still has slope above DIVERGENT_SLOPE_TOL the true FIM
     diverges there and a DivergentInformationWarning is emitted.
     """
-    effects = validate_povm(povm, circuit.dim)
-    state, tangents = tangent_frame(circuit, theta)
-    weighted = effects @ state
-    probs = np.real(weighted @ state.conj())
-    slopes = 2.0 * np.real(weighted.conj() @ tangents)
+    probs, slopes = _outcome_slopes(_effects(povm, circuit.dim), circuit, theta)
     kept = probs >= PROBABILITY_FLOOR
     for k in np.flatnonzero(~kept):
         steepest = float(np.max(np.abs(slopes[k])))
@@ -209,12 +220,11 @@ def _validate_weight(weight, size: int) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def _validate_trials(trials) -> int:
-    if isinstance(trials, bool) or not isinstance(trials, (int, np.integer)):
-        raise ValidationError(f"trials must be a positive integer, got {trials!r}")
-    if trials < 1:
-        raise ValidationError(f"trials must be >= 1, got {trials}")
-    return int(trials)
+def _check_count(value, name: str, minimum: int = 1) -> int:
+    """An integer (not a bool) of at least ``minimum``: a trial, batch or seed count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 def scalar_risk(fim, weight=None, trials: int = 1) -> WeightedRisk:
@@ -225,7 +235,7 @@ def scalar_risk(fim, weight=None, trials: int = 1) -> WeightedRisk:
     """
     mat = np.real(as_square_matrix(fim, "fim"))
     weight_mat = _validate_weight(weight, mat.shape[0])
-    trials = _validate_trials(trials)
+    trials = _check_count(trials, "trials")
     inverse = np.real(invert(mat))
     value = float(np.trace(weight_mat @ inverse)) / trials
     return WeightedRisk(weight=weight_mat, trials=trials, value=value)

@@ -27,6 +27,7 @@ from qfisher.circuit import STATE_NORM_TOL
 from helpers import SIGMA_X, SIGMA_Z, random_circuit, reference_circuit
 
 COMMUTING = Path(__file__).resolve().parent.parent / "scenarios" / "commuting_classical.json"
+REFERENCE = COMMUTING.parent / "reference_qubit.json"
 
 
 def test_transmissivity_validation():
@@ -226,3 +227,16 @@ def test_sweep_orders_match_input():
     assert [p.transmissivity for p in points] == values
     for point in points:
         assert point.report is not None
+
+
+def test_report_tensor_of_inexact_guess_is_stable_at_small_t():
+    # With an inexact guess p stays O(1) while qfim_exact is O(t^2): the
+    # tangent Gram and the state-overlap outer product cancel unless the
+    # tangents are projected off the state before the Gram is formed.
+    config = load_scenario(REFERENCE)
+    circuit = build_circuit(config)
+    scaled = [
+        distillation_report(circuit, config.theta_true, config.theta_guess, t).qfim_exact / t**2
+        for t in (1e-7, 1e-6)
+    ]
+    assert np.max(np.abs(scaled[0] - scaled[1])) <= 1e-8 * np.max(np.abs(scaled[1]))

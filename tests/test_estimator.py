@@ -1,13 +1,18 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfisher.estimator
+import qfisher.fisher
 from qfisher import (
     EncodingCircuit,
     NumericError,
     ValidationError,
+    build_circuit,
     crb_comparison,
+    load_scenario,
     loglikelihood,
     mle_fit,
     outcome_probabilities,
@@ -17,6 +22,7 @@ from qfisher import (
 
 from helpers import SIGMA_X, reference_circuit, sic_povm
 
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 Z_BASIS = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
 
 
@@ -151,3 +157,78 @@ def test_run_crb_study_two_parameter_slack():
     )
     scale = float(np.max(np.abs(study.comparison.bound)))
     assert study.comparison.slack > -0.1 * scale
+
+
+def test_mle_fit_matches_closed_form():
+    # sigma_x qubit read out in the z basis: p0 = cos^2(theta), so the
+    # maximum-likelihood estimate is arccos(sqrt(n0 / N)) exactly
+    circuit = single_param_circuit()
+    probs = outcome_probabilities(circuit, [0.3], Z_BASIS)
+    for seed in range(20):
+        batch = sample_outcomes(probs, 1000, seed)
+        exact = math.acos(math.sqrt(batch.counts[0] / batch.trials))
+        assert abs(mle_fit(batch, circuit, Z_BASIS, [0.3])[0] - exact) < 1e-12
+
+
+def test_mle_fit_raises_when_iteration_cap_is_hit(monkeypatch):
+    circuit = single_param_circuit()
+    batch = sample_outcomes(outcome_probabilities(circuit, [0.3], Z_BASIS), 1000, 2)
+    monkeypatch.setattr(qfisher.estimator, "MLE_MAX_ITERATIONS", 1)
+    with pytest.raises(NumericError, match="converge"):
+        mle_fit(batch, circuit, Z_BASIS, [0.7], search_radius=1.0)
+
+
+@pytest.mark.parametrize(
+    ("scenario", "most_calls"), [("reference_qubit", 10), ("single_parameter_crb", 7)]
+)
+def test_mle_fit_objective_calls_per_fit(monkeypatch, scenario, most_calls):
+    config = load_scenario(SCENARIO_DIR / f"{scenario}.json")
+    circuit = build_circuit(config)
+    probs = outcome_probabilities(circuit, config.theta_true, config.povm)
+    original = qfisher.estimator.loglikelihood
+    calls = []
+
+    def counted(counts, probs):
+        calls[-1] += 1
+        return original(counts, probs)
+
+    monkeypatch.setattr(qfisher.estimator, "loglikelihood", counted)
+    for k in range(20):
+        calls.append(0)
+        batch = sample_outcomes(probs, config.trials, config.seed + k)
+        mle_fit(batch, circuit, config.povm, config.theta_guess)
+    assert max(calls) <= most_calls
+
+
+def test_run_crb_study_validates_povm_at_most_twice(monkeypatch):
+    original = qfisher.fisher.validate_povm
+    calls = []
+
+    def counted(effects, dim=None):
+        calls.append(dim)
+        return original(effects, dim)
+
+    for module in (qfisher.fisher, qfisher.estimator):
+        monkeypatch.setattr(module, "validate_povm", counted)
+    run_crb_study(reference_circuit(), [0.3, 0.8], sic_povm(), 1000, 50, 11)
+    assert 1 <= len(calls) <= 2
+
+
+def test_run_crb_study_prefix_matches_shorter_study():
+    circuit = reference_circuit()
+    args = (circuit, [0.3, 0.8], sic_povm(), 2000)
+    long = run_crb_study(*args, 50, 500, theta_init=[0.35, 0.75])
+    short = run_crb_study(*args, 10, 500, theta_init=[0.35, 0.75])
+    assert np.array_equal(long.estimates[:10], short.estimates)
+
+
+def test_run_crb_study_flags_estimates_on_box_edge():
+    # theta_init sits 0.1 from the truth with a 0.02 box: every fit is clipped
+    circuit = single_param_circuit()
+    with pytest.warns(RuntimeWarning, match="search-box edge") as caught:
+        study = run_crb_study(
+            circuit, [0.3], Z_BASIS, 2000, 5, 3, theta_init=[0.4], search_radius=0.02
+        )
+    assert len(caught) == 1
+    assert "5 of 5 estimates" in str(caught[0].message)
+    assert np.all(study.estimates == 0.4 - 0.02)
