@@ -85,11 +85,23 @@ def _check_index(index, n_params: int) -> int:
     return int(index)
 
 
+def _rotate(eig: EigenDecomposition, angle: float, block: np.ndarray) -> np.ndarray:
+    """The gate V diag(exp(i angle a)) V^dag on a vector or a D x k block.
+
+    V^dag b is taken as conj(V^T conj(b)), so V is never copied or scaled:
+    every temporary is the size of the block, and a gate costs two products
+    of V with a D x k block.
+    """
+    coeffs = np.conj(eig.eigenvectors.T @ np.conj(block))
+    phases = np.exp(1j * angle * eig.eigenvalues)
+    coeffs *= phases if coeffs.ndim == 1 else phases[:, None]
+    return eig.eigenvectors @ coeffs
+
+
 def _apply_gates(circuit: EncodingCircuit, values, block: np.ndarray, start: int) -> np.ndarray:
     """Apply gates start..M-1 at validated angles to a vector or a D x k block."""
     for angle, eig in zip(values[start:], circuit._eigs[start:]):
-        phases = np.exp(1j * angle * eig.eigenvalues)
-        block = (eig.eigenvectors * phases) @ (eig.eigenvectors.conj().T @ block)
+        block = _rotate(eig, angle, block)
     return block
 
 
@@ -103,24 +115,19 @@ def tangent_frame(circuit: EncodingCircuit, theta) -> tuple[np.ndarray, np.ndarr
 
     Returns ``(state, tangents)`` with ``tangents[:, j]`` the derivative of
     the state along theta[j]: i times generator j conjugated by every later
-    gate, applied to the state. A D x (M+1) block holds the state
-    and the tangents built so far. Gates act in application order through
-    the cached eigendecompositions A_m = V_m diag(a_m) V_m^dag: gate m
-    rotates every column by V_m diag(exp(i theta_m a_m)) V_m^dag, then
-    appends tangent m as i A_m psi_m, with psi_m the state just after gate
-    m. Later gates rotate each tangent like the state. No D x D product is
-    formed, so the sweep costs O(M^2 D^2).
+    gate, applied to the state. A D x (M+1) block holds the state and the
+    tangents built so far. At gate m the sweep writes i A_m psi into column
+    m+1, with psi the state before the gate, and then turns columns 0..m+1
+    with the same gate step as ``evolve``. A_m commutes with its own gate,
+    so the gate takes i A_m psi to i A_m times the state after it; later
+    gates rotate each tangent like the state. No D x D product is formed,
+    so the sweep costs O(M^2 D^2).
     """
     values = as_param_vector(circuit, theta)
     size = circuit.n_params
     block = np.empty((circuit.dim, size + 1), dtype=complex, order="F")
     block[:, 0] = circuit.initial_state
     for m in range(size):
-        eig = circuit.generator_eig(m)
-        vecs = eig.eigenvectors
-        coeffs = np.empty((circuit.dim, m + 2), dtype=complex, order="F")
-        coeffs[:, : m + 1] = vecs.conj().T @ block[:, : m + 1]
-        coeffs[:, : m + 1] *= np.exp(1j * values[m] * eig.eigenvalues)[:, None]
-        coeffs[:, m + 1] = 1j * eig.eigenvalues * coeffs[:, 0]
-        block[:, : m + 2] = vecs @ coeffs
+        block[:, m + 1] = 1j * (circuit.generators[m] @ block[:, 0])
+        block[:, : m + 2] = _rotate(circuit.generator_eig(m), values[m], block[:, : m + 2])
     return block[:, 0], block[:, 1:]

@@ -198,12 +198,8 @@ def cmd_sweep(args) -> int:
                 print(f"warning: t={fmt(point.transmissivity)}: {point.error}", file=sys.stderr)
                 continue
             report = point.report
-            try:
-                risk_lower, risk_upper = learnability_interval(
-                    report.success_prob * report.qfim_exact, config.weight, trials
-                )
-            except NumericError:
-                risk_lower = risk_upper = math.nan
+            # risk_after is the lower edge of the learnability interval; the upper is twice it.
+            risk = math.nan if report.risk_after is None else report.risk_after.value
             rows.append(
                 [
                     fmt_csv(report.transmissivity),
@@ -211,8 +207,8 @@ def cmd_sweep(args) -> int:
                     fmt_csv(np.linalg.det(report.qfim_exact)),
                     fmt_csv(np.linalg.det(report.qfim_predicted)),
                     fmt_csv(report.lossless_residual),
-                    fmt_csv(risk_lower),
-                    fmt_csv(risk_upper),
+                    fmt_csv(risk),
+                    fmt_csv(2.0 * risk),
                     fmt_csv(report.regime_ratio),
                 ]
             )
@@ -259,13 +255,12 @@ def cmd_reference_example(args) -> int:
         ("closed-form qfim over 25-point grid", worst <= _EXAMPLE_GRID_TOL, f"max dev {worst:.3e}")
     )
 
-    qfim = qfim_pure(circuit, theta_true)
+    report = distillation_report(circuit, theta_true, theta_guess, t)
+    qfim = report.qfim_undistilled
     print_vector("theta_true", theta_true)
     print_vector("theta_guess", theta_guess)
     print(f"transmissivity: {fmt(t)}")
     print_matrix("qfim", qfim)
-
-    report = distillation_report(circuit, theta_true, theta_guess, t)
     print(f"success_prob: {fmt(report.success_prob)}")
     print_matrix("qfim_postselected_exact", report.qfim_exact)
     print_matrix("qfim_postselected_predicted", report.qfim_predicted)

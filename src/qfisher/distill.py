@@ -31,16 +31,16 @@ from .fisher import (
 class DistillationPlan:
     """A postselection filter anchored at a parameter guess.
 
-    ``guess_state`` g is the encoded state at ``theta_guess``. ``kraus``
-    K = 1 - (1 - t)|g><g| acts on the encoded state; ``effect`` F = K^dag K =
+    ``guess_state`` g is the encoded state at ``theta_guess``. The Kraus
+    operator K = 1 - (1 - t)|g><g| acts on the encoded state; the plan's own
+    paths apply it in split form, never densely. ``effect`` F = K^dag K =
     1 - (1 - t^2)|g><g| is the success outcome of the induced two-outcome
-    measurement. The plan's own paths apply K in split form, not densely.
+    measurement.
     """
 
     transmissivity: float
     theta_guess: np.ndarray
     guess_state: np.ndarray
-    kraus: np.ndarray
     effect: np.ndarray
 
 
@@ -63,13 +63,10 @@ def kraus_from_estimate(circuit: EncodingCircuit, theta_guess, t) -> Distillatio
     drift = abs(float(np.linalg.norm(guess_state)) - 1.0)
     if drift > STATE_NORM_TOL:
         raise NumericError(f"guess state is off the unit sphere: |norm - 1| = {drift:.3e}")
-    rho_guess = np.outer(guess_state, guess_state.conj())
-    identity = np.eye(circuit.dim)
-    kraus = (t - 1.0) * rho_guess + identity
-    effect = (t * t - 1.0) * rho_guess + identity
-    for arr in (theta_guess, guess_state, kraus, effect):
+    effect = (t * t - 1.0) * np.outer(guess_state, guess_state.conj()) + np.eye(circuit.dim)
+    for arr in (theta_guess, guess_state, effect):
         arr.setflags(write=False)
-    return DistillationPlan(t, theta_guess, guess_state, kraus, effect)
+    return DistillationPlan(t, theta_guess, guess_state, effect)
 
 
 def _filter_frame(plan: DistillationPlan, frame: np.ndarray) -> tuple[np.ndarray, float]:

@@ -78,12 +78,12 @@ def herm_eig(matrix, name: str = "matrix") -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def invert(matrix, tol: float = INVERT_RTOL) -> np.ndarray:
+def invert(matrix) -> np.ndarray:
     """Invert a square matrix, refusing near-singular input.
 
-    Fails when the smallest singular value is below ``tol`` times the
-    largest. No pseudo-inverse is substituted: singular directions mean the
-    caller must drop or reparametrize, which is not this function's call.
+    Fails when the smallest singular value is below ``INVERT_RTOL`` times
+    the largest. No pseudo-inverse is substituted: singular directions mean
+    the caller must drop or reparametrize, which is not this function's call.
     """
     mat = as_square_matrix(matrix)
     try:
@@ -92,9 +92,9 @@ def invert(matrix, tol: float = INVERT_RTOL) -> np.ndarray:
         raise NumericError(f"singular value decomposition failed: {exc}") from exc
     largest = float(singulars[0])
     smallest = float(singulars[-1])
-    if largest == 0.0 or smallest < tol * largest:
+    if largest == 0.0 or smallest < INVERT_RTOL * largest:
         raise NumericError(
-            f"matrix is singular to tolerance {tol:g}: smallest singular value "
+            f"matrix is singular to tolerance {INVERT_RTOL:g}: smallest singular value "
             f"{smallest:.6e} vs largest {largest:.6e}"
         )
     try:

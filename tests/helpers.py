@@ -64,6 +64,17 @@ def pauli_circuit(rng, n_qubits, n_params):
     return EncodingCircuit(generators, random_state(rng, 2**n_qubits))
 
 
+def three_param_circuit(rng, pauli):
+    """Three-parameter circuit: Pauli strings on 2-3 qubits or dense D = 2-6.
+
+    Pauli strings have D/2-fold degenerate spectra, so eigh may pick other
+    bases for rescaled copies; dense generators are nondegenerate.
+    """
+    if pauli:
+        return pauli_circuit(rng, int(rng.integers(2, 4)), 3)
+    return random_circuit(rng, n_params=3, max_dim=6)
+
+
 def random_projective_povm(rng, dim):
     basis = random_unitary(rng, dim)
     return tuple(np.outer(basis[:, k], basis[:, k].conj()) for k in range(dim))

@@ -2,11 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from qfisher import EncodingCircuit, ValidationError, evolve, tangent_frame
+from qfisher import (
+    EncodingCircuit,
+    ValidationError,
+    evolve,
+    qfim_pure,
+    tangent_frame,
+    uhlmann_curvature,
+)
 from qfisher.circuit import _apply_gates, _check_index
 
 from helpers import (
@@ -18,6 +25,7 @@ from helpers import (
     fd_tangents,
     random_circuit,
     reference_circuit,
+    three_param_circuit,
 )
 
 # (D, M) cases up to D=32, M=8, checked beside the small random circuits.
@@ -176,3 +184,46 @@ def test_tangent_frame_matches_per_index_derivatives():
         assert np.max(np.abs(state - evolve(circuit, theta))) < 1e-12
         for j in range(circuit.n_params):
             assert np.max(np.abs(tangents[:, j] - _derivative_state(circuit, theta, j))) < 1e-11
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-6.0, 6.0),
+    pauli=st.booleans(),
+)
+@example(seed=5, log_scale=-6.0, pauli=False)
+@example(seed=5, log_scale=6.0, pauli=False)
+@example(seed=6, log_scale=6.0, pauli=True)
+def test_tangent_frame_rescaling(seed, log_scale, pauli):
+    """A -> cA with theta -> theta/c keeps the state, scales tangents by c and the QFIM by c^2."""
+    rng = np.random.default_rng(seed)
+    circuit = three_param_circuit(rng, pauli)
+    theta = rng.uniform(-1.5, 1.5, 3)
+    scale = 10.0**log_scale
+    scaled = EncodingCircuit(
+        tuple(scale * gen for gen in circuit.generators), circuit.initial_state
+    )
+    state, tangents = tangent_frame(circuit, theta)
+    scaled_state, scaled_tangents = tangent_frame(scaled, theta / scale)
+    assert np.max(np.abs(scaled_state - state)) < 1e-12
+    assert np.max(np.abs(scaled_tangents / scale - tangents)) < 1e-11
+    qfim = qfim_pure(circuit, theta)
+    bound = 1e-10 * max(1.0, float(np.max(np.abs(qfim))))
+    assert np.max(np.abs(qfim_pure(scaled, theta / scale) / scale**2 - qfim)) < bound
+
+
+@settings(deadline=None, derandomize=True, max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    phase=st.floats(-math.pi, math.pi),
+    pauli=st.booleans(),
+)
+def test_qfim_and_curvature_ignore_global_phase(seed, phase, pauli):
+    rng = np.random.default_rng(seed)
+    circuit = three_param_circuit(rng, pauli)
+    theta = rng.uniform(-1.5, 1.5, 3)
+    shifted = EncodingCircuit(circuit.generators, np.exp(1j * phase) * circuit.initial_state)
+    assert np.max(np.abs(qfim_pure(shifted, theta) - qfim_pure(circuit, theta))) < 1e-12
+    moved = uhlmann_curvature(shifted, theta) - uhlmann_curvature(circuit, theta)
+    assert np.max(np.abs(moved)) < 1e-12

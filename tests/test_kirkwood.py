@@ -32,6 +32,7 @@ from helpers import (
     random_state,
     random_unitary,
     reference_circuit,
+    three_param_circuit,
 )
 
 
@@ -145,13 +146,6 @@ def test_kd_table_matches_trace_oracle():
         assert np.max(np.abs(dist.table[:, :, 1] - expected_fail)) < 1e-10
 
 
-def _circuit_for(rng, pauli):
-    """Three-parameter circuit: Pauli strings on 2-3 qubits or dense D = 2-6."""
-    if pauli:
-        return pauli_circuit(rng, int(rng.integers(2, 4)), 3)
-    return random_circuit(rng, n_params=3, max_dim=6)
-
-
 @settings(deadline=None, derandomize=True, max_examples=30)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -164,7 +158,7 @@ def _circuit_for(rng, pauli):
 def test_kd_rescaling_scales_entry_by_square(seed, log_scale, pauli):
     """A -> cA with theta -> theta/c keeps the clusters and scales the entry by c^2."""
     rng = np.random.default_rng(seed)
-    circuit = _circuit_for(rng, pauli)
+    circuit = three_param_circuit(rng, pauli)
     theta = rng.uniform(-1.5, 1.5, 3)
     effect = random_smeared_effect(rng, circuit.dim)
     pair = tuple(int(k) for k in rng.integers(0, 3, 2))
@@ -189,7 +183,7 @@ def test_kd_rescaling_scales_entry_by_square(seed, log_scale, pauli):
 )
 def test_kd_table_ignores_global_phase(seed, phase, pauli):
     rng = np.random.default_rng(seed)
-    circuit = _circuit_for(rng, pauli)
+    circuit = three_param_circuit(rng, pauli)
     theta = rng.uniform(-1.5, 1.5, 3)
     effect = random_smeared_effect(rng, circuit.dim)
     pair = tuple(int(k) for k in rng.integers(0, 3, 2))
