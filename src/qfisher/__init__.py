@@ -11,7 +11,6 @@ from .distill import (
     DistillationPlan,
     DistillationReport,
     SweepPoint,
-    curvature_postselected,
     distillation_report,
     kraus_from_estimate,
     postselect,
@@ -88,7 +87,6 @@ __all__ = [
     "classical_fim",
     "condition_on_postselection",
     "crb_comparison",
-    "curvature_postselected",
     "distillation_report",
     "evolve",
     "geometric_quantumness",

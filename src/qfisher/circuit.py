@@ -53,7 +53,7 @@ class EncodingCircuit:
         self.dim = int(dim)
         self.generators = tuple(gens)
         self.initial_state = state
-        self._eigs = tuple(herm_eig(gen) for gen in gens)
+        self._eigs = tuple(herm_eig(gen, f"generators[{m}]") for m, gen in enumerate(gens))
         for arr in self.generators + (self.initial_state,):
             arr.setflags(write=False)
 

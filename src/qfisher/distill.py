@@ -97,12 +97,6 @@ def qfim_postselected(circuit: EncodingCircuit, theta, effect) -> tuple[np.ndarr
     return qfim_from_tensor(tensor), success_prob
 
 
-def curvature_postselected(circuit: EncodingCircuit, theta, effect) -> tuple[np.ndarray, float]:
-    """Exact Uhlmann curvature of the postselected state and success probability."""
-    tensor, success_prob = postselected_geometric_tensor(circuit, theta, effect)
-    return curvature_from_tensor(tensor), success_prob
-
-
 @dataclass(frozen=True)
 class DistillationReport:
     """Side-by-side account of one distillation filter at the true theta.

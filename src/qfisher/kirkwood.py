@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, _apply_gates, _check_index, as_param_vector, evolve
+from .circuit import EncodingCircuit, _apply_gates, _check_index, _rotate, as_param_vector
 from .errors import NumericError, ValidationError
 from .fisher import _check_success_prob, require_effect
 
@@ -27,32 +27,30 @@ EIGENVALUE_ROUNDOFF_RTOL = 1e-12
 # Tolerance for calling a quasiprobability entry classical, and relative
 # slack on the classical covariance bound.
 CLASSICALITY_TOL = 1e-9
-# Unitarity of each rotated eigenbasis, which makes its cluster projectors
-# complete, idempotent and orthogonal.
-PROJECTOR_TOL = 1e-8
-# Slack for a KD table summing to 1 and for its spectrum marginals being
-# real and nonnegative.
+# Slack for cluster projections adding back to the state, for a KD table
+# summing to 1 and for its spectrum marginals being real and nonnegative.
 KD_TABLE_TOL = 1e-9
 
 
 def _clusters(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Group an ascending spectrum into clusters of near-equal eigenvalues.
 
-    Returns ``(means, starts, spread)``: the mean eigenvalue and the first
-    index of each cluster, and the largest minus the smallest mean. A gap
-    of at most DEGENERACY_TOL times the spectrum's spread, or at most
-    EIGENVALUE_ROUNDOFF_RTOL times its largest magnitude, chains two
-    neighbours. Both scale with the spectrum, so the clusters do not change
-    when it is scaled, and a spread of pure roundoff gives one cluster.
+    Returns ``(means, labels, spread)``: the mean eigenvalue of each
+    cluster, the cluster of each eigenvalue, and the largest minus the
+    smallest mean. A gap of at most DEGENERACY_TOL times the spectrum's
+    spread, or at most EIGENVALUE_ROUNDOFF_RTOL times its largest
+    magnitude, chains two neighbours. Both scale with the spectrum, so the
+    clusters do not change when it is scaled, and a spread of pure roundoff
+    gives one cluster.
     """
     tol = max(
         DEGENERACY_TOL * (eigenvalues[-1] - eigenvalues[0]),
         EIGENVALUE_ROUNDOFF_RTOL * float(np.max(np.abs(eigenvalues))),
     )
-    split = np.diff(eigenvalues) > tol
-    starts = np.flatnonzero(np.concatenate(([True], split)))
+    first = np.concatenate(([True], np.diff(eigenvalues) > tol))
+    starts = np.flatnonzero(first)
     means = np.add.reduceat(eigenvalues, starts) / np.diff(np.append(starts, eigenvalues.size))
-    return means, starts, float(means[-1] - means[0])
+    return means, np.cumsum(first) - 1, float(means[-1] - means[0])
 
 
 def _check_pair(pair, n_params: int) -> tuple[int, int]:
@@ -90,36 +88,41 @@ class KdDistribution:
 def kd_distribution(circuit: EncodingCircuit, theta, pair, effect) -> KdDistribution:
     """Joint Kirkwood-Dirac table at theta for a parameter pair and effect.
 
-    Effective generator m has the cached spectrum of generators[m] and the
-    eigenbasis U_m = (gates m+1..M-1) V_m, with V_m the cached eigenbasis.
-    With alpha = U_i^dag psi, beta = U_j^dag psi and G = U_i^dag F U_j,
-    entry (k, l) sums conj(alpha_a) G_ab beta_b over eigenvalue clusters k
-    and l; the failure outcome uses U_i^dag U_j - G. No projector matrix is
-    formed, and the cost is O(M D^3).
+    Effective generator m has the cached spectrum of generators[m], and
+    P_k psi is gates m+1..M-1 applied to V_m Pi_k V_m^dag psi_m, with V_m
+    the cached eigenbasis and psi_m the state just after gate m. One forward
+    sweep records psi_m; each side's D x K block of projections, which must
+    add back to psi_m, is then carried through the later gates. Entry (k, l)
+    is (P_k psi)^dag F (Q_l psi); the failure outcome is (P_k psi)^dag
+    (Q_l psi) minus it. Besides F no D x D matrix is formed, and the cost
+    is O(M D^2 (K + L)) plus the product of F with the D x L block.
     """
     theta = as_param_vector(circuit, theta)
     first, second = _check_pair(pair, circuit.n_params)
     mat = require_effect(effect, circuit.dim)
-    state = evolve(circuit, theta)
-    sides = []
-    for index in (first, second):
-        eig = circuit.generator_eig(index)
-        basis = _apply_gates(circuit, theta, eig.eigenvectors, index + 1)
-        drift = float(np.max(np.abs(basis.conj().T @ basis - np.eye(circuit.dim))))
-        if drift > PROJECTOR_TOL:
+    state = circuit.initial_state
+    sides = {}
+    for m in range(max(first, second) + 1):
+        eig = circuit.generator_eig(m)
+        state = _rotate(eig, theta[m], state)
+        if m not in (first, second):
+            continue
+        vals, labels, spread = _clusters(eig.eigenvalues)
+        # V^dag psi_m scattered by cluster label: one product with V gives every P_k psi_m.
+        scattered = np.zeros((circuit.dim, vals.size), dtype=complex)
+        scattered[np.arange(circuit.dim), labels] = np.conj(eig.eigenvectors.T @ np.conj(state))
+        block = eig.eigenvectors @ scattered
+        drift = float(np.max(np.abs(block.sum(axis=1) - state)))
+        if drift > KD_TABLE_TOL:
             raise NumericError(
-                f"eigenbasis of effective generator {index} is not unitary: drift {drift:.3e}"
+                f"cluster projections of effective generator {m} do not add up to the "
+                f"state: drift {drift:.3e}"
             )
-        sides.append((basis, *_clusters(eig.eigenvalues)))
-    (basis_i, vals_i, starts_i, spread_i), (basis_j, vals_j, starts_j, spread_j) = sides
-    alpha = basis_i.conj().T @ state
-    beta = basis_j.conj().T @ state
-    gram = basis_i.conj().T @ mat @ basis_j
-    table = np.empty((len(vals_i), len(vals_j), 2), dtype=complex)
-    for m, outcome in enumerate((gram, basis_i.conj().T @ basis_j - gram)):
-        weights = alpha.conj()[:, None] * outcome * beta
-        rows = np.add.reduceat(weights, starts_i, axis=0)
-        table[:, :, m] = np.add.reduceat(rows, starts_j, axis=1)
+        sides[m] = (_apply_gates(circuit, theta, block, m + 1), vals, spread)
+    (block_i, vals_i, spread_i), (block_j, vals_j, spread_j) = sides[first], sides[second]
+    adjoint_i = block_i.conj().T
+    success = adjoint_i @ (mat @ block_j)
+    table = np.stack((success, adjoint_i @ block_j - success), axis=2)
     total = complex(np.sum(table))
     if abs(total - 1.0) > KD_TABLE_TOL:
         raise NumericError(f"quasiprobability table sums to {total:.12g}, expected 1")

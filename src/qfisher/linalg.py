@@ -1,7 +1,7 @@
 """Dense complex-matrix primitives shared by every other module.
 
-Hermitian eigendecomposition, guarded inversion and the spectral norm.
-All functions are pure: inputs are validated, never mutated, and
+Hermiticity check, Hermitian eigendecomposition, guarded inversion and
+the spectral norm. All functions are pure: inputs are never mutated, and
 identical inputs give identical outputs.
 """
 
@@ -68,11 +68,14 @@ class EigenDecomposition:
     eigenvectors: np.ndarray
 
 
-def herm_eig(matrix, name: str = "matrix") -> EigenDecomposition:
-    """Eigendecompose a Hermitian matrix, eigenvalues ascending."""
-    herm = require_hermitian(matrix, name)
+def herm_eig(matrix: np.ndarray, name: str = "matrix") -> EigenDecomposition:
+    """Eigendecompose a Hermitian matrix, eigenvalues ascending.
+
+    The input must come validated, e.g. from ``require_hermitian``: it is
+    not checked again.
+    """
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(herm)
+        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition of {name} failed: {exc}") from exc
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)

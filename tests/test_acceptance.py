@@ -15,11 +15,11 @@ from qfisher import (
     EncodingCircuit,
     analyze_pair,
     condition_on_postselection,
-    curvature_postselected,
     distillation_report,
     geometric_quantumness,
     kd_distribution,
     kraus_from_estimate,
+    postselected_geometric_tensor,
     qfim_entry_kd,
     qfim_postselected,
     qfim_pure,
@@ -27,6 +27,8 @@ from qfisher import (
     tangent_frame,
     uhlmann_curvature,
 )
+
+from qfisher.fisher import curvature_from_tensor, qfim_from_tensor
 
 from helpers import (
     fd_qfim,
@@ -121,8 +123,9 @@ def test_criterion_4_quadratic_error_scaling():
         for scale in scales:
             guess = theta + scale * direction
             plan = kraus_from_estimate(circuit, guess, t)
-            boosted, prob = qfim_postselected(circuit, theta, plan.effect)
-            curv_ps, _ = curvature_postselected(circuit, theta, plan.effect)
+            tensor, prob = postselected_geometric_tensor(circuit, theta, plan.effect)
+            boosted = qfim_from_tensor(tensor)
+            curv_ps = curvature_from_tensor(tensor)
             residuals["transform"].append(float(np.max(np.abs(boosted - plain_qfim / (t * t)))))
             residuals["lossless"].append(float(np.max(np.abs(prob * boosted - plain_qfim))))
             residuals["curvature"].append(float(np.max(np.abs(prob * curv_ps - plain_curv))))
@@ -301,8 +304,9 @@ def test_criterion_9_quantumness_range_and_invariance():
         diffs = []
         for scale in scales:
             plan = kraus_from_estimate(circuit, theta + scale * direction, t)
-            boosted, _ = qfim_postselected(circuit, theta, plan.effect)
-            curv_ps, _ = curvature_postselected(circuit, theta, plan.effect)
+            tensor, _ = postselected_geometric_tensor(circuit, theta, plan.effect)
+            boosted = qfim_from_tensor(tensor)
+            curv_ps = curvature_from_tensor(tensor)
             value = geometric_quantumness(boosted, curv_ps)
             assert 0.0 <= value <= 1.0 + 1e-9
             diffs.append(abs(value - base))

@@ -14,6 +14,8 @@ from qfisher import (
     tangent_frame,
     uhlmann_curvature,
 )
+from qfisher import circuit as circuit_module
+from qfisher import linalg
 from qfisher.circuit import _apply_gates, _check_index
 
 from helpers import (
@@ -35,8 +37,23 @@ finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinit
 
 
 def test_rejects_non_hermitian_generator():
-    with pytest.raises(ValidationError):
-        EncodingCircuit((np.array([[0.0, 1.0], [0.0, 0.0]]),), np.array([1.0, 0.0]))
+    with pytest.raises(ValidationError, match=r"generators\[1\] is not Hermitian"):
+        EncodingCircuit((SIGMA_X, np.array([[0.0, 1.0], [0.0, 0.0]])), np.array([1.0, 0.0]))
+
+
+def test_build_checks_each_generator_once(monkeypatch):
+    """One Hermiticity check per generator: herm_eig trusts the checked copy."""
+    calls = []
+    check = linalg.require_hermitian
+
+    def counting(values, name="matrix", **kwargs):
+        calls.append(name)
+        return check(values, name, **kwargs)
+
+    monkeypatch.setattr(circuit_module, "require_hermitian", counting)
+    monkeypatch.setattr(linalg, "require_hermitian", counting)
+    random_circuit(np.random.default_rng(12), dim=8, n_params=5)
+    assert calls == [f"generators[{m}]" for m in range(5)]
 
 
 def test_rejects_mismatched_generator_dims():

@@ -10,12 +10,12 @@ from qfisher import (
     NumericError,
     ValidationError,
     build_circuit,
-    curvature_postselected,
     distillation_report,
     evolve,
     kraus_from_estimate,
     load_scenario,
     postselect,
+    postselected_geometric_tensor,
     qfim_postselected,
     qfim_pure,
     t_sweep,
@@ -23,6 +23,7 @@ from qfisher import (
 )
 
 from qfisher.circuit import STATE_NORM_TOL
+from qfisher.fisher import curvature_from_tensor, qfim_from_tensor
 
 from helpers import SIGMA_X, SIGMA_Z, random_circuit, reference_circuit
 
@@ -155,8 +156,9 @@ def test_report_matches_separate_computations():
         guess = theta + 0.05 * rng.standard_normal(n_params)
         report = distillation_report(circuit, theta, guess, 0.4)
         plan = kraus_from_estimate(circuit, guess, 0.4)
-        qfim_exact, prob = qfim_postselected(circuit, theta, plan.effect)
-        curvature_exact, _ = curvature_postselected(circuit, theta, plan.effect)
+        tensor, prob = postselected_geometric_tensor(circuit, theta, plan.effect)
+        qfim_exact = qfim_from_tensor(tensor)
+        curvature_exact = curvature_from_tensor(tensor)
         assert np.array_equal(report.qfim_undistilled, qfim_pure(circuit, theta))
         assert np.array_equal(report.curvature_undistilled, uhlmann_curvature(circuit, theta))
         # The report filters in split form, the effect route densely: the two

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -20,7 +21,9 @@ from qfisher import (
     qfim_entry_kd,
     qfim_postselected,
     qfim_pure,
+    tangent_frame,
 )
+from qfisher.linalg import EigenDecomposition
 
 from helpers import (
     conjugated_generator,
@@ -229,6 +232,54 @@ def test_entry_matches_direct_postselected_qfim():
         entry = qfim_entry_kd(conditioned, dist.eigenvalues_i, dist.eigenvalues_j)
         direct, _ = qfim_postselected(circuit, theta, effect)
         assert abs(entry - direct[pair]) < 1e-8
+
+
+def test_kd_route_matches_frame_route_at_scale():
+    """Every pair of dense D = 64 and 128 circuits and a 6-qubit Pauli circuit.
+
+    The KD entry must equal the dense postselected-QFIM entry, and the table
+    summed over outcomes and weighted by both spectra must give the tangent
+    Gram matrix of the frame route, both to 1e-12 relative.
+    """
+    rng = np.random.default_rng(58)
+    circuits = (
+        random_circuit(rng, dim=64, n_params=4),
+        random_circuit(rng, dim=128, n_params=3),
+        pauli_circuit(rng, 6, 4),
+    )
+    for circuit in circuits:
+        theta = rng.uniform(-1.5, 1.5, circuit.n_params)
+        guess = theta + 0.05 * rng.standard_normal(circuit.n_params)
+        plan = kraus_from_estimate(circuit, guess, 0.3)
+        direct, _ = qfim_postselected(circuit, theta, plan.effect)
+        _, tangents = tangent_frame(circuit, theta)
+        gram = tangents.conj().T @ tangents
+        for i in range(circuit.n_params):
+            for j in range(circuit.n_params):
+                analysis = analyze_pair(circuit, theta, (i, j), plan.effect)
+                assert abs(analysis.entry - direct[i, j]) <= 1e-12 * np.max(np.abs(direct))
+                assert analysis.consistent
+                dist = kd_distribution(circuit, theta, (i, j), plan.effect)
+                moment = dist.eigenvalues_i @ dist.table.sum(axis=2) @ dist.eigenvalues_j
+                assert abs(moment - gram[i, j]) <= 1e-12 * np.max(np.abs(gram))
+
+
+def test_kd_completeness_gate_catches_a_corrupt_eigenbasis():
+    """A scaled column of a cached eigenbasis breaks sum_k P_k psi = psi."""
+    rng = np.random.default_rng(59)
+    circuit = random_circuit(rng, dim=6, n_params=3)
+    theta = rng.uniform(-1.5, 1.5, 3)
+    effect = random_smeared_effect(rng, 6)
+    eig = circuit.generator_eig(1)
+    vectors = eig.eigenvectors.copy()
+    vectors[:, 2] *= 1.01
+    broken = copy.copy(circuit)
+    broken._eigs = (
+        circuit._eigs[:1] + (EigenDecomposition(eig.eigenvalues, vectors),) + circuit._eigs[2:]
+    )
+    kd_distribution(circuit, theta, (2, 1), effect)
+    with pytest.raises(NumericError, match="effective generator 1 do not add up"):
+        kd_distribution(broken, theta, (2, 1), effect)
 
 
 def test_entry_shape_validation():
