@@ -10,12 +10,10 @@ from .circuit import EncodingCircuit, as_pure_state, evolve, tangent_frame
 from .distill import (
     DistillationPlan,
     DistillationReport,
-    SweepPoint,
     distillation_report,
     kraus_from_estimate,
     postselect,
     qfim_postselected,
-    t_sweep,
 )
 from .errors import NumericError, QFisherError, ValidationError
 from .estimator import (
@@ -78,7 +76,6 @@ __all__ = [
     "QFisherError",
     "SampleBatch",
     "ScenarioConfig",
-    "SweepPoint",
     "ValidationError",
     "WeightedRisk",
     "analyze_pair",
@@ -110,7 +107,6 @@ __all__ = [
     "scalar_risk",
     "scenario_from_dict",
     "scenario_to_dict",
-    "t_sweep",
     "tangent_frame",
     "uhlmann_curvature",
     "validate_povm",

@@ -26,7 +26,7 @@ import warnings
 import numpy as np
 
 from .circuit import EncodingCircuit
-from .distill import distillation_report, kraus_from_estimate, t_sweep
+from .distill import distillation_report, kraus_from_estimate
 from .errors import NumericError, ValidationError
 from .estimator import run_crb_study
 from .fisher import (
@@ -189,15 +189,15 @@ def cmd_sweep(args) -> int:
     t_values = _parse_t_list(args.t_list)
     trials = 1 if config.trials is None else config.trials
     with _open_csv(args.csv, sys.stdout) as handle:
-        points = t_sweep(
-            circuit, config.theta_true, config.theta_guess, t_values, config.weight, trials
-        )
         rows = []
-        for point in points:
-            if point.report is None:
-                print(f"warning: t={fmt(point.transmissivity)}: {point.error}", file=sys.stderr)
+        for t in t_values:
+            try:
+                report = distillation_report(
+                    circuit, config.theta_true, config.theta_guess, t, config.weight, trials
+                )
+            except (ValidationError, NumericError) as exc:
+                print(f"warning: t={fmt(t)}: {exc}", file=sys.stderr)
                 continue
-            report = point.report
             # risk_after is the lower edge of the learnability interval; the upper is twice it.
             risk = math.nan if report.risk_after is None else report.risk_after.value
             rows.append(

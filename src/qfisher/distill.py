@@ -33,15 +33,22 @@ class DistillationPlan:
 
     ``guess_state`` g is the encoded state at ``theta_guess``. The Kraus
     operator K = 1 - (1 - t)|g><g| acts on the encoded state; the plan's own
-    paths apply it in split form, never densely. ``effect`` F = K^dag K =
-    1 - (1 - t^2)|g><g| is the success outcome of the induced two-outcome
-    measurement.
+    paths apply it in split form, never densely.
     """
 
     transmissivity: float
     theta_guess: np.ndarray
     guess_state: np.ndarray
-    effect: np.ndarray
+
+    @property
+    def effect(self) -> np.ndarray:
+        """F = K^dag K = 1 - (1 - t^2)|g><g|, the success outcome of the induced
+        two-outcome measurement, formed densely on each read.
+
+        K^dag K - F = (1 - t)^2 (|g|^2 - 1)|g><g| and F has eigenvalues 1 and
+        1 + (t^2 - 1)|g|^2, so the plan's unit g makes F a valid effect."""
+        g, t = self.guess_state, self.transmissivity
+        return (t * t - 1.0) * np.outer(g, g.conj()) + np.eye(g.size)
 
 
 def _check_transmissivity(t) -> float:
@@ -50,6 +57,8 @@ def _check_transmissivity(t) -> float:
     t = float(t)
     if not np.isfinite(t) or not 0.0 < t <= 1.0:
         raise ValidationError(f"transmissivity must lie in (0, 1], got {t}")
+    if t * t < np.finfo(float).tiny:
+        raise ValidationError(f"transmissivity {t} is too small: t^2 underflows a normal float")
     return t
 
 
@@ -58,15 +67,13 @@ def kraus_from_estimate(circuit: EncodingCircuit, theta_guess, t) -> Distillatio
     t = _check_transmissivity(t)
     theta_guess = as_param_vector(circuit, theta_guess, "theta_guess").copy()
     guess_state = evolve(circuit, theta_guess)
-    # K^dag K - F = (1 - t)^2 (|g|^2 - 1)|g><g| and F has eigenvalues 1 and
-    # 1 + (t^2 - 1)|g|^2, so a unit g makes F = K^dag K a valid effect.
+    # A unit g keeps F = K^dag K a valid effect (see DistillationPlan.effect).
     drift = abs(float(np.linalg.norm(guess_state)) - 1.0)
     if drift > STATE_NORM_TOL:
         raise NumericError(f"guess state is off the unit sphere: |norm - 1| = {drift:.3e}")
-    effect = (t * t - 1.0) * np.outer(guess_state, guess_state.conj()) + np.eye(circuit.dim)
-    for arr in (theta_guess, guess_state, effect):
+    for arr in (theta_guess, guess_state):
         arr.setflags(write=False)
-    return DistillationPlan(t, theta_guess, guess_state, effect)
+    return DistillationPlan(t, theta_guess, guess_state)
 
 
 def _filter_frame(plan: DistillationPlan, frame: np.ndarray) -> tuple[np.ndarray, float]:
@@ -177,35 +184,3 @@ def distillation_report(
         risk_after=_risk_or_none(success_prob * qfim_exact),
     )
 
-
-@dataclass(frozen=True)
-class SweepPoint:
-    """One transmissivity in a sweep: a report, or the failure reason."""
-
-    transmissivity: float
-    report: DistillationReport | None
-    error: str | None
-
-
-def t_sweep(
-    circuit: EncodingCircuit,
-    theta_true,
-    theta_guess,
-    t_values,
-    weight=None,
-    trials: int = 1,
-) -> list[SweepPoint]:
-    """Audit the filter across transmissivities, collecting per-point failures.
-
-    Invalid or numerically degenerate points become SweepPoint.error
-    instead of aborting the sweep.
-    """
-    points = []
-    for t in t_values:
-        try:
-            report = distillation_report(circuit, theta_true, theta_guess, t, weight, trials)
-        except (ValidationError, NumericError) as exc:
-            points.append(SweepPoint(transmissivity=float(t), report=None, error=str(exc)))
-        else:
-            points.append(SweepPoint(transmissivity=report.transmissivity, report=report, error=None))
-    return points

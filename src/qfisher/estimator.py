@@ -91,8 +91,10 @@ def mle_fit(
     Moves theta to clip(theta + I^-1 s) in the box theta_init +- search_radius,
     with score s and expected information I from one tangent frame; a move that
     falls short of a quarter of its predicted gain is halved along its longest
-    information axes. A flat likelihood, with no information the log-likelihood
-    can resolve, raises, and so does a fit still moving after MLE_MAX_ITERATIONS.
+    information axes. If the information at theta_init resolves no axis, the fit
+    restarts from the best point theta_init +- search_radius/2 along one axis; it
+    raises when none beats theta_init (a flat likelihood), and when a fit is still
+    moving after MLE_MAX_ITERATIONS.
     """
     effects = _effects(povm, circuit.dim)
     theta = as_param_vector(circuit, theta_init, "theta_init").copy()
@@ -128,7 +130,14 @@ def mle_fit(
         # Axes whose curvature across the box is a tie carry no information.
         resolved = radius**2 * curvature > slack
         if iteration == 0 and not resolved.any():
-            raise NumericError("likelihood is flat at theta_init: no resolvable information")
+            # Slopes can all vanish at theta_init alone, say where an outcome's probability is 0.
+            probes = theta + 0.5 * radius * np.vstack((np.eye(theta.size), -np.eye(theta.size)))
+            values = [objective(probe) for probe in probes]
+            k = int(np.argmax(values))
+            if values[k] - best <= slack:
+                raise NumericError("likelihood is flat at theta_init: no resolvable information")
+            theta, best = probes[k], values[k]
+            continue
         newton = np.divide(score[free] @ axes, curvature, out=np.zeros(len(axes)), where=resolved)
         step, reach = np.zeros_like(theta), np.inf
         while True:

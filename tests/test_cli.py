@@ -123,6 +123,16 @@ def test_sweep_partial_failure_keeps_going(capsys):
     captured = capsys.readouterr()
     assert "warning: t=2" in captured.err
     assert captured.out.count("\n") == 2  # header plus the surviving row
+    # An exact guess: t = 2 fails validation, and t = 1e-7 drives the success
+    # probability t^2 under the floor.
+    assert main(["sweep", "--scenario", COMMUTING, "--t-list", "2.0,1e-7,0.5"]) == 0
+    captured = capsys.readouterr()
+    warnings = captured.err.splitlines()
+    assert len(warnings) == 2
+    assert warnings[0].startswith("warning: t=2: ") and "transmissivity" in warnings[0]
+    assert warnings[1].startswith("warning: t=1e-07: ") and "probability" in warnings[1]
+    assert captured.out.count("\n") == 2
+    assert captured.out.splitlines()[1].startswith("0.5,")
 
 
 def test_sweep_all_failures_exit_3(capsys):
@@ -154,7 +164,8 @@ def test_reference_example_accepts_overrides(capsys):
 def test_reference_example_rejects_bad_t(capsys):
     assert main(["paper-example", "--t", "0"]) == 2
     assert main(["paper-example", "--t", "1.5"]) == 2
-    capsys.readouterr()
+    assert main(["paper-example", "--t", "1e-200"]) == 2
+    assert "underflows" in capsys.readouterr().err
 
 
 def test_crb_command(tmp_path, capsys):

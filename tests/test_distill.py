@@ -18,7 +18,6 @@ from qfisher import (
     postselected_geometric_tensor,
     qfim_postselected,
     qfim_pure,
-    t_sweep,
     uhlmann_curvature,
 )
 
@@ -40,7 +39,7 @@ def dense_kraus(plan):
 def test_transmissivity_validation():
     circuit = reference_circuit()
     guess = [0.2, 0.3]
-    for bad in (0.0, -0.5, 1.5, float("nan"), True, "0.5"):
+    for bad in (0.0, -0.5, 1.5, float("nan"), True, "0.5", 1e-160, 1e-200):
         with pytest.raises(ValidationError):
             kraus_from_estimate(circuit, guess, bad)
 
@@ -170,16 +169,35 @@ def test_report_matches_separate_computations():
 
 
 def test_exact_guess_distils_losslessly_at_small_t():
+    # The first theorem: p = t^2 and p * QFIM_ps = QFIM at any t above the floor.
     rng = np.random.default_rng(78)
-    for dim in (4, 32, 128):
-        circuit = random_circuit(rng, dim=dim, n_params=4)
+    for dim, n_params in ((4, 2), (16, 4), (64, 6), (128, 8)):
+        circuit = random_circuit(rng, dim=dim, n_params=n_params)
         theta = rng.uniform(-1.5, 1.5, circuit.n_params)
-        for t in (1e-1, 1e-3, 1e-5):
+        for t in (1e-5, *10.0 ** rng.uniform(-5.0, 0.0, 3)):
             report = distillation_report(circuit, theta, theta, t)
             assert abs(report.success_prob / (t * t) - 1.0) <= 1e-12
             plain = report.qfim_undistilled
             gap = np.max(np.abs(report.success_prob * report.qfim_exact - plain))
             assert gap <= 1e-12 * np.max(np.abs(plain))
+
+
+def test_residual_is_second_order_in_guess_error_at_scale():
+    # Guess error delta = s * t * u: each halving of s divides the residual by about 4.
+    rng = np.random.default_rng(90)
+    for dim, n_params in ((4, 2), (16, 4), (64, 6), (128, 8)):
+        circuit = random_circuit(rng, dim=dim, n_params=n_params)
+        for _ in range(3):
+            theta = rng.uniform(-1.5, 1.5, n_params)
+            t = float(10.0 ** rng.uniform(-5.0, 0.0))
+            direction = rng.standard_normal(n_params)
+            direction /= np.linalg.norm(direction)
+            residuals = [
+                distillation_report(circuit, theta, theta + s * t * direction, t).lossless_residual
+                for s in (4e-3, 2e-3, 1e-3)
+            ]
+            for coarse, fine in zip(residuals, residuals[1:]):
+                assert 1.8 <= math.log2(coarse / fine) <= 2.2
 
 
 def test_commuting_report_at_small_t_has_no_curvature():
@@ -203,8 +221,6 @@ def test_report_builds_one_tangent_frame(monkeypatch):
     theta = [math.pi / 4.0, math.pi / 4.0]
     distillation_report(circuit, theta, [0.8, 0.7], 0.3)
     assert len(calls) == 1
-    t_sweep(circuit, theta, [0.8, 0.7], [1.0, 0.5, 0.2])
-    assert len(calls) == 4
 
 
 def test_report_risk_is_none_for_singular_qfim():
@@ -214,28 +230,6 @@ def test_report_risk_is_none_for_singular_qfim():
     assert report.risk_before is None
     assert report.risk_after is None
     assert report.lossless_residual >= 0.0
-
-
-def test_sweep_collects_per_point_failures():
-    circuit = reference_circuit()
-    theta = [math.pi / 4.0, math.pi / 4.0]
-    points = t_sweep(circuit, theta, theta, [0.5, 2.0, 1e-7])
-    assert points[0].report is not None and points[0].error is None
-    # out-of-range transmissivity fails validation
-    assert points[1].report is None and "transmissivity" in points[1].error
-    # tiny t with a perfect guess drives success probability under the floor
-    assert points[2].report is None and "probability" in points[2].error
-
-
-def test_sweep_orders_match_input():
-    circuit = reference_circuit()
-    theta = [0.6, 0.2]
-    guess = [0.65, 0.15]
-    values = [1.0, 0.7, 0.4]
-    points = t_sweep(circuit, theta, guess, values)
-    assert [p.transmissivity for p in points] == values
-    for point in points:
-        assert point.report is not None
 
 
 def test_report_tensor_of_inexact_guess_is_stable_at_small_t():

@@ -108,6 +108,16 @@ def test_mle_fit_rejects_flat_likelihood():
         mle_fit(batch, circuit, flat_povm, [0.3])
 
 
+def test_mle_fit_restarts_off_a_start_with_no_slope():
+    # At theta_init = 0 the z-basis outcome slopes of a sigma_x qubit all
+    # vanish, yet data drawn at 0.3 are informative; the model is even in theta.
+    circuit = single_param_circuit()
+    batch = sample_outcomes(outcome_probabilities(circuit, [0.3], Z_BASIS), 1000, 7)
+    exact = math.acos(math.sqrt(batch.counts[0] / batch.trials))
+    assert exact == pytest.approx(0.3012, abs=1e-4)
+    assert abs(abs(mle_fit(batch, circuit, Z_BASIS, [0.0])[0]) - exact) < 1e-9
+
+
 def test_mle_fit_validation():
     circuit = single_param_circuit()
     batch = sample_outcomes([0.5, 0.5], 100, 1)
