@@ -6,7 +6,7 @@ Kirkwood-Dirac quasiprobability negativity analysis, and a seeded Monte
 Carlo check of the classical Cramér-Rao bound.
 """
 
-from .circuit import EncodingCircuit, as_pure_state, evolve, tangent_frame
+from .circuit import EncodingCircuit, evolve, tangent_frame
 from .distill import (
     DistillationPlan,
     DistillationReport,
@@ -29,14 +29,12 @@ from .estimator import (
 )
 from .fisher import (
     DivergentInformationWarning,
-    WeightedRisk,
     classical_fim,
     geometric_quantumness,
     geometric_tensor,
     learnability_interval,
     postselected_geometric_tensor,
     qfim_pure,
-    scalar_risk,
     uhlmann_curvature,
     validate_povm,
 )
@@ -77,9 +75,7 @@ __all__ = [
     "SampleBatch",
     "ScenarioConfig",
     "ValidationError",
-    "WeightedRisk",
     "analyze_pair",
-    "as_pure_state",
     "build_circuit",
     "classical_fim",
     "condition_on_postselection",
@@ -104,7 +100,6 @@ __all__ = [
     "run_crb_study",
     "sample_outcomes",
     "save_scenario",
-    "scalar_risk",
     "scenario_from_dict",
     "scenario_to_dict",
     "tangent_frame",

@@ -82,11 +82,12 @@ def _open_csv(path, default=None):
     return contextlib.nullcontext(default)
 
 
-def _risk_line(label: str, risk) -> None:
-    if risk is None:
+def _risk_line(label: str, bracket, trials: int) -> None:
+    """The lower edge of a learnability bracket, or why there is none."""
+    if bracket is None:
         print(f"{label}: unavailable (singular information matrix)")
     else:
-        print(f"{label}: {fmt(risk.value)} (trials {risk.trials})")
+        print(f"{label}: {fmt(bracket[0])} (trials {trials})")
 
 
 def cmd_qfim(args) -> int:
@@ -120,9 +121,9 @@ def cmd_distill(args) -> int:
     report = distillation_report(
         circuit, config.theta_true, config.theta_guess, config.t, config.weight, trials
     )
-    print(f"transmissivity: {fmt(report.transmissivity)}")
+    print(f"transmissivity: {fmt(report.plan.transmissivity)}")
     print_vector("theta_true", report.theta_true)
-    print_vector("theta_guess", report.theta_guess)
+    print_vector("theta_guess", report.plan.theta_guess)
     print(f"success_prob: {fmt(report.success_prob)}")
     print_matrix("qfim_undistilled", report.qfim_undistilled)
     print_matrix("qfim_postselected_exact", report.qfim_exact)
@@ -134,8 +135,8 @@ def cmd_distill(args) -> int:
             f"warning: regime_ratio {fmt(report.regime_ratio)} exceeds "
             f"{REGIME_WARN_THRESHOLD}; the 1/t^2 prediction may be unreliable"
         )
-    _risk_line("risk_before", report.risk_before)
-    _risk_line("risk_after", report.risk_after)
+    _risk_line("risk_before", report.risk_before, trials)
+    _risk_line("risk_after", report.risk_after, trials)
     return 0
 
 
@@ -198,17 +199,16 @@ def cmd_sweep(args) -> int:
             except (ValidationError, NumericError) as exc:
                 print(f"warning: t={fmt(t)}: {exc}", file=sys.stderr)
                 continue
-            # risk_after is the lower edge of the learnability interval; the upper is twice it.
-            risk = math.nan if report.risk_after is None else report.risk_after.value
+            lower, upper = report.risk_after or (math.nan, math.nan)
             rows.append(
                 [
-                    fmt_csv(report.transmissivity),
+                    fmt_csv(report.plan.transmissivity),
                     fmt_csv(report.success_prob),
                     fmt_csv(np.linalg.det(report.qfim_exact)),
                     fmt_csv(np.linalg.det(report.qfim_predicted)),
                     fmt_csv(report.lossless_residual),
-                    fmt_csv(risk),
-                    fmt_csv(2.0 * risk),
+                    fmt_csv(lower),
+                    fmt_csv(upper),
                     fmt_csv(report.regime_ratio),
                 ]
             )
@@ -234,14 +234,9 @@ def _reference_qfim_closed_form(theta1: float) -> np.ndarray:
 
 
 def cmd_reference_example(args) -> int:
-    theta1 = float(args.theta1)
-    if not math.isfinite(theta1):
-        raise ValidationError("--theta1 must be finite")
-    t = float(args.t)
-    if not math.isfinite(t) or not 0.0 < t <= 1.0:
-        raise ValidationError(f"--t must lie in (0, 1], got {t}")
+    t = args.t
     circuit = _reference_circuit()
-    theta_true = np.array([theta1, math.pi / 4.0])
+    theta_true = np.array([args.theta1, math.pi / 4.0])
     theta_guess = theta_true + np.array([0.1, -0.1])
 
     checks: list[tuple[str, bool, str]] = []
@@ -291,8 +286,7 @@ def cmd_reference_example(args) -> int:
         )
     )
 
-    plan = kraus_from_estimate(circuit, theta_guess, t)
-    analysis = analyze_pair(circuit, theta_true, (0, 1), plan.effect)
+    analysis = analyze_pair(circuit, theta_true, (0, 1), report.plan.effect)
     bound = analysis.spread_i * analysis.spread_j
     print(f"kd_entry: {fmt(analysis.entry)}")
     print(f"kd_classical_bound: {fmt(bound)}")

@@ -17,13 +17,12 @@ import numpy as np
 from .circuit import STATE_NORM_TOL, EncodingCircuit, as_param_vector, evolve, tangent_frame
 from .errors import NumericError, ValidationError
 from .fisher import (
-    WeightedRisk,
     _check_success_prob,
     _tensor_from_frame,
     curvature_from_tensor,
+    learnability_interval,
     postselected_geometric_tensor,
     qfim_from_tensor,
-    scalar_risk,
 )
 
 
@@ -111,13 +110,13 @@ class DistillationReport:
     ``qfim_predicted`` is the small-error prediction qfim_undistilled/t^2;
     ``lossless_residual`` is the max-abs gap between success_prob *
     qfim_exact and qfim_undistilled, which shrinks quadratically with the
-    guess error. Risks are per input copy (surviving fraction folded in)
-    and are None when the corresponding QFIM is singular.
+    guess error. Risks are ``learnability_interval`` brackets (lower,
+    upper) per input copy (surviving fraction folded in) and are None when
+    the corresponding QFIM is singular.
     """
 
-    transmissivity: float
+    plan: DistillationPlan
     theta_true: np.ndarray
-    theta_guess: np.ndarray
     success_prob: float
     qfim_undistilled: np.ndarray
     qfim_exact: np.ndarray
@@ -126,8 +125,8 @@ class DistillationReport:
     curvature_exact: np.ndarray
     lossless_residual: float
     regime_ratio: float
-    risk_before: WeightedRisk | None
-    risk_after: WeightedRisk | None
+    risk_before: tuple[float, float] | None
+    risk_after: tuple[float, float] | None
 
 
 def distillation_report(
@@ -164,14 +163,13 @@ def distillation_report(
 
     def _risk_or_none(fim):
         try:
-            return scalar_risk(fim, weight, trials)
+            return learnability_interval(fim, weight, trials)
         except NumericError:
             return None
 
     return DistillationReport(
-        transmissivity=plan.transmissivity,
+        plan=plan,
         theta_true=theta_true,
-        theta_guess=plan.theta_guess,
         success_prob=success_prob,
         qfim_undistilled=qfim_plain,
         qfim_exact=qfim_exact,

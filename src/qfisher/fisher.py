@@ -1,7 +1,7 @@
 """Fisher-information measures for pure-state encoding circuits.
 
 Classical Fisher information of a POVM, the pure-state quantum Fisher
-information matrix (QFIM), scalar risk bounds, the Uhlmann curvature, and
+information matrix (QFIM), risk brackets, the Uhlmann curvature, and
 the geometric-quantumness measure built from the last two. The complex
 "geometric tensor" is the common core: its real part carries the QFIM,
 its imaginary part the curvature, and an effect-weighted variant covers
@@ -11,13 +11,12 @@ postselected states.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import EncodingCircuit, as_param_vector, tangent_frame
 from .errors import NumericError, ValidationError
-from .linalg import DEFAULT_TOL, as_square_matrix, invert, require_hermitian, spectral_norm
+from .linalg import DEFAULT_TOL, as_square_matrix, invert, require_hermitian, spectral_radius
 
 # Outcomes with probability below this floor are dropped from Fisher sums.
 PROBABILITY_FLOOR = 1e-12
@@ -36,15 +35,6 @@ QUANTUMNESS_TOL = 1e-9
 class DivergentInformationWarning(RuntimeWarning):
     """A zero-probability outcome with non-vanishing probability slope was
     dropped from a Fisher-information sum; the true FIM diverges there."""
-
-
-@dataclass(frozen=True)
-class WeightedRisk:
-    """Scalar Cramér-Rao risk bound Tr[W fim^-1] / trials."""
-
-    weight: np.ndarray
-    trials: int
-    value: float
 
 
 def require_effect(effect, dim: int | None = None, name: str = "effect") -> np.ndarray:
@@ -227,28 +217,19 @@ def _check_count(value, name: str, minimum: int = 1) -> int:
     return int(value)
 
 
-def scalar_risk(fim, weight=None, trials: int = 1) -> WeightedRisk:
-    """Scalar risk bound Tr[W fim^-1] / trials for a positive weight W.
+def learnability_interval(fim, weight=None, trials: int = 1) -> tuple[float, float]:
+    """Two-sided bracket on the best achievable risk for a pure state.
 
+    The lower edge is the Cramér-Rao bound Tr[W fim^-1] / trials for a
+    positive weight W; the upper edge is exactly twice the lower: the
+    most-informative measurement lands inside this factor-2 sandwich.
     Fails on a singular information matrix: the singular parameters must be
     removed by the caller, not papered over.
     """
     mat = np.real(as_square_matrix(fim, "fim"))
     weight_mat = _validate_weight(weight, mat.shape[0])
     trials = _check_count(trials, "trials")
-    inverse = np.real(invert(mat))
-    value = float(np.trace(weight_mat @ inverse)) / trials
-    return WeightedRisk(weight=weight_mat, trials=trials, value=value)
-
-
-def learnability_interval(qfim, weight=None, trials: int = 1) -> tuple[float, float]:
-    """Two-sided bracket on the best achievable risk for a pure state.
-
-    The lower edge is the QFIM risk bound; the upper edge is exactly twice
-    the lower: the most-informative measurement lands inside this factor-2
-    sandwich.
-    """
-    lower = scalar_risk(qfim, weight, trials).value
+    lower = float(np.trace(weight_mat @ np.real(invert(mat)))) / trials
     return (lower, 2.0 * lower)
 
 
@@ -262,7 +243,7 @@ def geometric_quantumness(qfim, curvature) -> float:
     curv_mat = np.real(as_square_matrix(curvature, "curvature"))
     if curv_mat.shape != qfim_mat.shape:
         raise ValidationError("qfim and curvature dimensions differ")
-    value = spectral_norm(1j * invert(qfim_mat) @ curv_mat)
+    value = spectral_radius(1j * invert(qfim_mat) @ curv_mat)
     if value > 1.0 + QUANTUMNESS_TOL:
         raise NumericError(f"geometric quantumness {value:.6e} exceeds 1 beyond tolerance")
     return value

@@ -1,7 +1,7 @@
 """Dense complex-matrix primitives shared by every other module.
 
 Hermiticity check, Hermitian eigendecomposition, guarded inversion and
-the spectral norm. All functions are pure: inputs are never mutated, and
+the spectral radius. All functions are pure: inputs are never mutated, and
 identical inputs give identical outputs.
 """
 
@@ -106,8 +106,9 @@ def invert(matrix) -> np.ndarray:
         raise NumericError(f"inversion failed: {exc}") from exc
 
 
-def spectral_norm(matrix) -> float:
-    """Largest eigenvalue modulus (spectral radius) of a square matrix."""
+def spectral_radius(matrix) -> float:
+    """Largest eigenvalue modulus of a square matrix. This never exceeds the
+    spectral norm and can fall far below it for a non-normal matrix."""
     mat = as_square_matrix(matrix)
     try:
         eigenvalues = np.linalg.eigvals(mat)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 from pathlib import Path
@@ -5,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qfisher.distill
 from qfisher import ScenarioConfig, save_scenario
 from qfisher.cli import build_parser, fmt, fmt_csv, main
 
@@ -135,6 +138,16 @@ def test_sweep_partial_failure_keeps_going(capsys):
     assert captured.out.splitlines()[1].startswith("0.5,")
 
 
+def test_sweep_risk_columns_come_from_the_bracket(monkeypatch, capsys):
+    # The learnability bracket has one owner: the CSV copies both of its edges.
+    monkeypatch.setattr(
+        qfisher.distill, "learnability_interval", lambda fim, weight=None, trials=1: (1.0, 3.0)
+    )
+    assert main(["sweep", "--scenario", REFERENCE, "--t-list", "0.5"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(row["risk_lower"], row["risk_upper"]) for row in rows] == [("1", "3")]
+
+
 def test_sweep_all_failures_exit_3(capsys):
     assert main(["sweep", "--scenario", REFERENCE, "--t-list", "2.0,3.0"]) == 3
     assert "every sweep point failed" in capsys.readouterr().err
@@ -162,10 +175,33 @@ def test_reference_example_accepts_overrides(capsys):
 
 
 def test_reference_example_rejects_bad_t(capsys):
-    assert main(["paper-example", "--t", "0"]) == 2
-    assert main(["paper-example", "--t", "1.5"]) == 2
-    assert main(["paper-example", "--t", "1e-200"]) == 2
-    assert "underflows" in capsys.readouterr().err
+    # The library's checks are the only rule for --t and --theta1.
+    for argv, wording in (
+        (["--t", "0"], "transmissivity must lie in (0, 1], got 0.0"),
+        (["--t", "nan"], "transmissivity must lie in (0, 1], got nan"),
+        (["--t", "1.5"], "transmissivity must lie in (0, 1], got 1.5"),
+        (["--t", "1e-200"], "t^2 underflows"),
+        (["--theta1", "nan"], "theta_true contains non-finite entries"),
+        (["--theta1", "inf"], "theta_true contains non-finite entries"),
+    ):
+        assert main(["paper-example", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert wording in captured.err
+
+
+def test_reference_example_builds_one_filter(monkeypatch, capsys):
+    calls = []
+    original = qfisher.distill.evolve
+
+    def counting(circuit, theta):
+        calls.append(theta)
+        return original(circuit, theta)
+
+    monkeypatch.setattr(qfisher.distill, "evolve", counting)
+    assert main(["paper-example"]) == 0
+    assert "overall: PASS" in capsys.readouterr().out
+    assert len(calls) == 1
 
 
 def test_crb_command(tmp_path, capsys):

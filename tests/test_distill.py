@@ -133,7 +133,8 @@ def test_report_fields_are_consistent():
     guess = theta + np.array([0.1, -0.1])
     t = 1.0 / math.sqrt(10.0)
     report = distillation_report(circuit, theta, guess, t, trials=100)
-    assert report.transmissivity == pytest.approx(t)
+    assert report.plan.transmissivity == pytest.approx(t)
+    assert np.array_equal(report.plan.theta_guess, guess)
     assert report.success_prob == pytest.approx(0.10520215740019678, abs=1e-12)
     assert np.max(np.abs(report.qfim_predicted - report.qfim_undistilled / (t * t))) < 1e-12
     expected_residual = float(
@@ -144,7 +145,8 @@ def test_report_fields_are_consistent():
     assert report.risk_before is not None
     assert report.risk_after is not None
     # distillation with a decent guess keeps the per-copy risk close
-    assert report.risk_after.value == pytest.approx(report.risk_before.value, rel=0.1)
+    assert report.risk_after[0] == pytest.approx(report.risk_before[0], rel=0.1)
+    assert report.risk_after[1] == 2.0 * report.risk_after[0]
 
 
 def test_report_matches_separate_computations():

@@ -13,7 +13,6 @@ from qfisher import (
     learnability_interval,
     postselected_geometric_tensor,
     qfim_pure,
-    scalar_risk,
     uhlmann_curvature,
     validate_povm,
 )
@@ -119,26 +118,25 @@ def test_classical_fim_warns_on_divergent_outcome():
         classical_fim(single, [1e-7], basis)
 
 
-def test_scalar_risk_identity_weight():
-    risk = scalar_risk(np.diag([4.0, 2.0]))
-    assert risk.value == pytest.approx(0.25 + 0.5)
-    assert risk.trials == 1
-    scaled = scalar_risk(np.diag([4.0, 2.0]), trials=100)
-    assert scaled.value == pytest.approx((0.25 + 0.5) / 100.0)
+def test_learnability_interval_identity_weight():
+    lower, _ = learnability_interval(np.diag([4.0, 2.0]))
+    assert lower == pytest.approx(0.25 + 0.5)
+    scaled, _ = learnability_interval(np.diag([4.0, 2.0]), trials=100)
+    assert scaled == pytest.approx((0.25 + 0.5) / 100.0)
 
 
-def test_scalar_risk_validates_weight():
+def test_learnability_interval_validates_weight():
     with pytest.raises(ValidationError):
-        scalar_risk(np.eye(2), weight=np.array([[1.0, 2.0], [0.0, 1.0]]))
+        learnability_interval(np.eye(2), weight=np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValidationError):
-        scalar_risk(np.eye(2), weight=np.diag([1.0, -1.0]))
+        learnability_interval(np.eye(2), weight=np.diag([1.0, -1.0]))
     with pytest.raises(ValidationError):
-        scalar_risk(np.eye(2), trials=0)
+        learnability_interval(np.eye(2), trials=0)
 
 
-def test_scalar_risk_rejects_singular_fim():
+def test_learnability_interval_rejects_singular_fim():
     with pytest.raises(NumericError, match="singular"):
-        scalar_risk(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        learnability_interval(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
 def test_learnability_interval_upper_is_twice_lower():

@@ -11,7 +11,7 @@ from qfisher.linalg import (
     herm_eig,
     invert,
     require_hermitian,
-    spectral_norm,
+    spectral_radius,
 )
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -77,10 +77,14 @@ def test_invert_rejects_singular():
         invert(np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
-def test_spectral_norm_known_values():
-    assert spectral_norm(np.diag([3.0, -7.0])) == pytest.approx(7.0)
+def test_spectral_radius_known_values():
+    assert spectral_radius(np.diag([3.0, -7.0])) == pytest.approx(7.0)
     rot = np.array([[0.0, -2.0], [2.0, 0.0]])  # eigenvalues +-2i
-    assert spectral_norm(rot) == pytest.approx(2.0)
+    assert spectral_radius(rot) == pytest.approx(2.0)
+    # Non-normal: both eigenvalues are 1, while the spectral norm is about 10.1.
+    shear = np.array([[1.0, 10.0], [0.0, 1.0]])
+    assert spectral_radius(shear) == pytest.approx(1.0)
+    assert np.linalg.norm(shear, 2) > 10.0
 
 
 def test_errors_share_the_package_base():
