@@ -41,13 +41,8 @@ from .fisher import (
 from .kirkwood import (
     KdDistribution,
     KdPairAnalysis,
-    NegativityReport,
     analyze_pair,
-    condition_on_postselection,
     kd_distribution,
-    negativity_consistency_check,
-    negativity_report,
-    qfim_entry_kd,
 )
 from .scenario import (
     ScenarioConfig,
@@ -69,7 +64,6 @@ __all__ = [
     "EncodingCircuit",
     "KdDistribution",
     "KdPairAnalysis",
-    "NegativityReport",
     "NumericError",
     "QFisherError",
     "SampleBatch",
@@ -78,7 +72,6 @@ __all__ = [
     "analyze_pair",
     "build_circuit",
     "classical_fim",
-    "condition_on_postselection",
     "crb_comparison",
     "distillation_report",
     "evolve",
@@ -89,12 +82,9 @@ __all__ = [
     "learnability_interval",
     "loglikelihood",
     "mle_fit",
-    "negativity_consistency_check",
-    "negativity_report",
     "outcome_probabilities",
     "postselect",
     "postselected_geometric_tensor",
-    "qfim_entry_kd",
     "qfim_postselected",
     "qfim_pure",
     "run_crb_study",

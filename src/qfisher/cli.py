@@ -152,8 +152,8 @@ def cmd_kd(args) -> int:
     print_matrix("conditioned_imag", np.imag(analysis.conditioned))
     print(f"qfim_entry: {fmt(analysis.entry)}")
     print(f"classical_bound: {fmt(analysis.spread_i * analysis.spread_j)}")
-    print(f"total_negativity: {fmt(analysis.report.total_negativity)}")
-    print(f"classical: {'yes' if analysis.report.classical else 'no'}")
+    print(f"total_negativity: {fmt(analysis.total_negativity)}")
+    print(f"classical: {'yes' if analysis.classical else 'no'}")
     print(f"consistency: {'PASS' if analysis.consistent else 'FAIL'}")
     return 0 if analysis.consistent else 1
 
@@ -290,7 +290,7 @@ def cmd_reference_example(args) -> int:
     bound = analysis.spread_i * analysis.spread_j
     print(f"kd_entry: {fmt(analysis.entry)}")
     print(f"kd_classical_bound: {fmt(bound)}")
-    print(f"kd_total_negativity: {fmt(analysis.report.total_negativity)}")
+    print(f"kd_total_negativity: {fmt(analysis.total_negativity)}")
     checks.append(
         (
             "negativity consistent with qfim entry",
@@ -302,7 +302,7 @@ def cmd_reference_example(args) -> int:
         checks.append(
             (
                 "anomalous entry comes with nonclassical distribution",
-                not analysis.report.classical,
+                not analysis.classical,
                 f"entry {fmt(analysis.entry)} beats bound {fmt(bound)}",
             )
         )

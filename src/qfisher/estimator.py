@@ -98,7 +98,9 @@ def mle_fit(
     """
     effects = _effects(povm, circuit.dim)
     theta = as_param_vector(circuit, theta_init, "theta_init").copy()
-    if not isinstance(search_radius, (int, float, np.floating)) or isinstance(search_radius, bool):
+    if isinstance(search_radius, bool) or not isinstance(
+        search_radius, (int, float, np.floating, np.integer)
+    ):
         raise ValidationError(f"search_radius must be a positive number, got {search_radius!r}")
     radius = float(search_radius)
     if not np.isfinite(radius) or radius <= 0.0:

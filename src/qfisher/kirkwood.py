@@ -1,10 +1,11 @@
 """Kirkwood-Dirac quasiprobability analysis of postselected information.
 
-Builds the joint quasiprobability table over the eigenvalue clusters of
-two effective generators together with a binary postselection outcome,
-conditions it on success, and reports negativity. The headline result is
-a consistency check: a postselected-QFIM entry can only beat the
-classical covariance bound when the conditioned quasiprobability
+``kd_distribution`` builds the joint quasiprobability table over the
+eigenvalue clusters of two effective generators together with a binary
+postselection outcome. ``analyze_pair`` conditions it on success and
+returns one record: the postselected-QFIM entry, the covariance bound's
+spreads, the negativity and a consistency verdict. The entry can only beat
+the classical covariance bound when the conditioned quasiprobability
 distribution is nonclassical (negative or non-real somewhere).
 """
 
@@ -142,100 +143,49 @@ def kd_distribution(circuit: EncodingCircuit, theta, pair, effect) -> KdDistribu
     )
 
 
-def condition_on_postselection(dist: KdDistribution) -> tuple[np.ndarray, float]:
-    """Slice out the success outcome and renormalize by its probability.
-
-    Returns ``(conditioned, success_prob)``.
-    """
-    success_prob = dist.success_prob
-    _check_success_prob(success_prob)
-    return dist.table[:, :, 0] / success_prob, success_prob
-
-
-def qfim_entry_kd(conditioned, eigenvalues_i, eigenvalues_j) -> float:
-    """Postselected-QFIM entry from a conditioned quasiprobability matrix.
-
-    4 Re{ E[a_i a_j] - E_left[a_i] E_right[a_j] } where the expectations
-    run over the (generally complex) conditioned distribution, which sums
-    to 1, and its two marginals. Each spectrum is centred on its midrange
-    first: that leaves the entry unchanged and keeps its roundoff on the
-    scale of the covariance bound, so a one-value spectrum gives exactly 0.
-    """
-    matrix = np.asarray(conditioned, dtype=complex)
-    vals_i = np.asarray(eigenvalues_i, dtype=float)
-    vals_j = np.asarray(eigenvalues_j, dtype=float)
-    if matrix.shape != (len(vals_i), len(vals_j)) or matrix.size == 0:
-        raise ValidationError(
-            f"conditioned matrix shape {matrix.shape} does not match nonzero eigenvalue "
-            f"counts ({len(vals_i)}, {len(vals_j)})"
-        )
+def _entry(conditioned: np.ndarray, vals_i: np.ndarray, vals_j: np.ndarray) -> float:
+    """KdPairAnalysis.entry. Each spectrum is centred on its midrange first:
+    that leaves the entry unchanged and keeps its roundoff on the scale of
+    the covariance bound, so a one-cluster spectrum gives exactly 0."""
     vals_i = vals_i - (vals_i.min() + vals_i.max()) / 2.0
     vals_j = vals_j - (vals_j.min() + vals_j.max()) / 2.0
-    correlation = vals_i @ matrix @ vals_j
-    left = vals_i @ matrix.sum(axis=1)
-    right = matrix.sum(axis=0) @ vals_j
+    correlation = vals_i @ conditioned @ vals_j
+    left = vals_i @ conditioned.sum(axis=1)
+    right = conditioned.sum(axis=0) @ vals_j
     return float(4.0 * np.real(correlation - left * right))
 
 
-@dataclass(frozen=True)
-class NegativityReport:
-    """Summary of how far a conditioned quasiprobability sits from a
-    genuine (real, [0, 1]-valued) probability distribution."""
-
-    total_negativity: float
-    min_real: float
-    max_real: float
-    max_imag: float
-    classical: bool
-
-
-def negativity_report(conditioned) -> NegativityReport:
-    """Measure negativity and classicality of a conditioned distribution.
-
-    ``total_negativity`` adds every negative real excess and every
-    imaginary magnitude; ``classical`` requires all real parts in
-    [0, 1] and all imaginary parts zero, within CLASSICALITY_TOL.
-    """
-    matrix = np.asarray(conditioned, dtype=complex)
-    real = np.real(matrix)
-    imag = np.imag(matrix)
-    total = float(np.sum(np.maximum(0.0, -real)) + np.sum(np.abs(imag)))
-    min_real = float(np.min(real))
-    max_real = float(np.max(real))
-    max_imag = float(np.max(np.abs(imag)))
+def _negativity(conditioned: np.ndarray) -> tuple[float, bool]:
+    """``(total_negativity, classical)`` as KdPairAnalysis defines them."""
+    real = np.real(conditioned)
+    imag = np.abs(np.imag(conditioned))
+    total = float(np.sum(np.maximum(0.0, -real)) + np.sum(imag))
     classical = (
-        min_real >= -CLASSICALITY_TOL
-        and max_real <= 1.0 + CLASSICALITY_TOL
-        and max_imag <= CLASSICALITY_TOL
+        float(np.min(real)) >= -CLASSICALITY_TOL
+        and float(np.max(real)) <= 1.0 + CLASSICALITY_TOL
+        and float(np.max(imag)) <= CLASSICALITY_TOL
     )
-    return NegativityReport(
-        total_negativity=total,
-        min_real=min_real,
-        max_real=max_real,
-        max_imag=max_imag,
-        classical=classical,
-    )
-
-
-def negativity_consistency_check(
-    entry: float, spread_i: float, spread_j: float, report: NegativityReport
-) -> bool:
-    """Check the negativity-enables-advantage implication on one pair.
-
-    A classical conditioned distribution caps the QFIM entry at the
-    covariance bound spread_i * spread_j. Returns False only on a
-    counterexample: an entry beyond the bound by more than the relative
-    slack CLASSICALITY_TOL while the distribution still looks classical.
-    The slack scales with the bound, so rescaling both generators by c
-    keeps the verdict.
-    """
-    anomalous = abs(entry) > spread_i * spread_j * (1.0 + CLASSICALITY_TOL)
-    return not (anomalous and report.classical)
+    return total, classical
 
 
 @dataclass(frozen=True)
 class KdPairAnalysis:
-    """One-stop analysis of a parameter pair under postselection."""
+    """One parameter pair under postselection, read from its KD table.
+
+    ``conditioned`` is the table's success slice over ``success_prob``, a
+    quasiprobability summing to 1. ``entry`` is the postselected-QFIM entry
+    4 Re{E[a_i a_j] - E_left[a_i] E_right[a_j]} under it.
+    ``total_negativity`` adds the sizes of all negative real parts and
+    all imaginary parts of ``conditioned``; ``classical`` says all real
+    parts lie in [0, 1] and all imaginary parts vanish, within
+    CLASSICALITY_TOL.
+
+    A classical distribution caps the entry at the covariance bound
+    spread_i * spread_j. ``consistent`` is False only on a counterexample:
+    an entry beyond the bound by more than the relative slack
+    CLASSICALITY_TOL while the distribution looks classical. The slack
+    scales with the bound, so rescaling both generators keeps the verdict.
+    """
 
     pair: tuple[int, int]
     success_prob: float
@@ -243,17 +193,20 @@ class KdPairAnalysis:
     entry: float
     spread_i: float
     spread_j: float
-    report: NegativityReport
+    total_negativity: float
+    classical: bool
     consistent: bool
 
 
 def analyze_pair(circuit: EncodingCircuit, theta, pair, effect) -> KdPairAnalysis:
-    """Distribution, conditioning, entry, negativity and consistency in one call."""
+    """KD table, conditioning, entry, negativity and verdict for one pair."""
     dist = kd_distribution(circuit, theta, pair, effect)
-    conditioned, success_prob = condition_on_postselection(dist)
-    entry = qfim_entry_kd(conditioned, dist.eigenvalues_i, dist.eigenvalues_j)
-    report = negativity_report(conditioned)
-    consistent = negativity_consistency_check(entry, dist.spread_i, dist.spread_j, report)
+    success_prob = dist.success_prob
+    _check_success_prob(success_prob)
+    conditioned = dist.table[:, :, 0] / success_prob
+    entry = _entry(conditioned, dist.eigenvalues_i, dist.eigenvalues_j)
+    total, classical = _negativity(conditioned)
+    anomalous = abs(entry) > dist.spread_i * dist.spread_j * (1.0 + CLASSICALITY_TOL)
     return KdPairAnalysis(
         pair=dist.pair,
         success_prob=success_prob,
@@ -261,6 +214,7 @@ def analyze_pair(circuit: EncodingCircuit, theta, pair, effect) -> KdPairAnalysi
         entry=entry,
         spread_i=dist.spread_i,
         spread_j=dist.spread_j,
-        report=report,
-        consistent=consistent,
+        total_negativity=total,
+        classical=classical,
+        consistent=not (anomalous and classical),
     )

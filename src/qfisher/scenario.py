@@ -16,6 +16,7 @@ import numpy as np
 
 from .circuit import EncodingCircuit
 from .errors import ValidationError
+from .fisher import _validate_weight
 
 _REQUIRED_KEYS = ("dim", "generators", "initial_state", "theta_true", "theta_guess", "t")
 _OPTIONAL_KEYS = ("weight", "kd_pair", "povm", "trials", "seed")
@@ -85,11 +86,14 @@ def _array_from_json(value, path: str, shape: tuple, pairs: bool = False) -> np.
     """Decode numbers, or [re, im] pairs if ``pairs``, nested to ``shape``.
 
     A None in ``shape`` takes any nonzero length. Errors name the path of
-    the first entry off shape or not a number. Pairs are read through a
-    complex128 view, which keeps the sign of every zero.
+    the first entry off shape, not a number, or not finite. Pairs are read
+    through a complex128 view, which keeps the sign of every zero.
     """
     _check_nested(value, path, shape + (2,) if pairs else shape, pairs)
     array = np.array(value, dtype=float)
+    bad = np.argwhere(~np.isfinite(array))
+    if len(bad):
+        _fail(path + "".join(f"[{k}]" for k in bad[0]), "expected a finite number")
     return array.view(complex)[..., 0] if pairs else array
 
 
@@ -126,6 +130,8 @@ def scenario_from_dict(data) -> ScenarioConfig:
     if not 0.0 < t <= 1.0:
         _fail("t", f"must lie in (0, 1], got {t}")
     weight = field("weight", _array_from_json, (n_params, n_params))
+    if weight is not None:
+        _validate_weight(weight, n_params)
     kd_pair = data.get("kd_pair")
     if kd_pair is not None:
         if not isinstance(kd_pair, list) or len(kd_pair) != 2:

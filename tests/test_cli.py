@@ -284,3 +284,27 @@ def test_schema_error_reports_field(tmp_path, capsys):
     path.write_text(json.dumps(data))
     assert main(["qfim", "--scenario", str(path)]) == 2
     assert "t:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("theta_guess", [math.nan, 0.0], "theta_guess[0]: expected a finite number"),
+        ("t", math.inf, "t: expected a finite number"),
+        ("weight", [[1.0, 0.0], [0.0, -1.0]], "weight must be positive definite"),
+    ],
+)
+@pytest.mark.parametrize(
+    "command", [["qfim"], ["kd"], ["distill"], ["sweep", "--t-list", "0.5,1"]]
+)
+def test_invalid_scenario_numbers_exit_2_before_any_output(
+    tmp_path, capsys, key, value, message, command
+):
+    data = json.loads((SCENARIO_DIR / "reference_qubit.json").read_text())
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert main([command[0], "--scenario", str(path), *command[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"

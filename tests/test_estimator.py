@@ -224,6 +224,17 @@ def test_run_crb_study_validates_povm_at_most_twice(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def test_search_radius_accepts_numpy_integers():
+    circuit = reference_circuit()
+    args = (circuit, [0.3, 0.8], sic_povm(), 2000, 5, 500)
+    plain = run_crb_study(*args, theta_init=[0.35, 0.75], search_radius=1)
+    numpy_int = run_crb_study(*args, theta_init=[0.35, 0.75], search_radius=np.int64(1))
+    assert numpy_int.estimates.tobytes() == plain.estimates.tobytes()
+    batch = sample_outcomes([0.5, 0.5], 100, 1)
+    with pytest.raises(ValidationError, match="positive number"):
+        mle_fit(batch, single_param_circuit(), Z_BASIS, [0.3], search_radius=True)
+
+
 def test_run_crb_study_prefix_matches_shorter_study():
     circuit = reference_circuit()
     args = (circuit, [0.3, 0.8], sic_povm(), 2000)

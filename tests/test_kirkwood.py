@@ -11,18 +11,16 @@ from qfisher import (
     NumericError,
     ValidationError,
     analyze_pair,
-    condition_on_postselection,
     distillation_report,
     evolve,
     kd_distribution,
     kraus_from_estimate,
-    negativity_consistency_check,
-    negativity_report,
-    qfim_entry_kd,
     qfim_postselected,
     qfim_pure,
     tangent_frame,
 )
+from qfisher import kirkwood
+from qfisher.kirkwood import _negativity
 from qfisher.linalg import EigenDecomposition
 
 from helpers import (
@@ -117,13 +115,11 @@ def test_kd_scalar_generator_with_classical_pair_is_consistent():
         diagonal = np.diag(rng.uniform(-1.0, 1.0, 4)).astype(complex)
         circuit = EncodingCircuit((scalar, diagonal), random_state(rng, 4))
         effect = np.diag(rng.uniform(0.2, 1.0, 4)).astype(complex)
-        dist = kd_distribution(circuit, [0.3, 0.2], (0, 1), effect)
-        conditioned, _ = condition_on_postselection(dist)
-        report = negativity_report(conditioned)
-        assert report.classical
-        entry = qfim_entry_kd(conditioned, dist.eigenvalues_i, dist.eigenvalues_j)
-        assert entry == 0.0
-        assert negativity_consistency_check(entry, dist.spread_i, dist.spread_j, report)
+        analysis = analyze_pair(circuit, [0.3, 0.2], (0, 1), effect)
+        assert analysis.classical
+        assert analysis.spread_i == 0.0
+        assert analysis.entry == 0.0
+        assert analysis.consistent
 
 
 def test_kd_table_matches_trace_oracle():
@@ -205,17 +201,17 @@ def test_kd_table_sums_to_one():
         effect = random_smeared_effect(rng, circuit.dim)
         dist = kd_distribution(circuit, theta, (0, 1), effect)
         assert complex(np.sum(dist.table)) == pytest.approx(1.0, abs=1e-9)
-        conditioned, prob = condition_on_postselection(dist)
-        assert complex(np.sum(conditioned)) == pytest.approx(1.0, abs=1e-9)
-        assert prob == pytest.approx(dist.success_prob)
+        analysis = analyze_pair(circuit, theta, (0, 1), effect)
+        assert complex(np.sum(analysis.conditioned)) == pytest.approx(1.0, abs=1e-9)
+        assert analysis.success_prob == pytest.approx(dist.success_prob)
 
 
 def test_condition_rejects_vanishing_success():
     circuit = reference_circuit()
     effect = np.diag([0.0, 1.0]).astype(complex)
-    dist = kd_distribution(circuit, [0.0, 0.0], (0, 1), effect)
+    assert kd_distribution(circuit, [0.0, 0.0], (0, 1), effect).success_prob == 0.0
     with pytest.raises(NumericError, match="probability"):
-        condition_on_postselection(dist)
+        analyze_pair(circuit, [0.0, 0.0], (0, 1), effect)
 
 
 def test_entry_matches_direct_postselected_qfim():
@@ -227,9 +223,7 @@ def test_entry_matches_direct_postselected_qfim():
         theta = rng.uniform(-1.5, 1.5, circuit.n_params)
         effect = random_smeared_effect(rng, circuit.dim)
         pair = (0, 1)
-        dist = kd_distribution(circuit, theta, pair, effect)
-        conditioned, _ = condition_on_postselection(dist)
-        entry = qfim_entry_kd(conditioned, dist.eigenvalues_i, dist.eigenvalues_j)
+        entry = analyze_pair(circuit, theta, pair, effect).entry
         direct, _ = qfim_postselected(circuit, theta, effect)
         assert abs(entry - direct[pair]) < 1e-8
 
@@ -282,43 +276,50 @@ def test_kd_completeness_gate_catches_a_corrupt_eigenbasis():
         kd_distribution(broken, theta, (2, 1), effect)
 
 
-def test_entry_shape_validation():
-    with pytest.raises(ValidationError):
-        qfim_entry_kd(np.eye(2), [1.0, -1.0, 0.0], [1.0, -1.0])
-    with pytest.raises(ValidationError):
-        qfim_entry_kd(np.zeros((0, 0)), [], [])
+def test_negativity_classical_cases():
+    assert _negativity(np.array([[0.5, 0.25], [0.25, 0.0]], dtype=complex)) == (0.0, True)
+    assert _negativity(np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)) == (0.0, True)
 
 
-def test_negativity_report_classical_cases():
-    report = negativity_report(np.array([[0.5, 0.25], [0.25, 0.0]]))
-    assert report.classical
-    assert report.total_negativity == 0.0
-    assert report.min_real == 0.0
-    assert report.max_real == 0.5
+def test_negativity_flags_negative_and_imaginary():
+    total, classical = _negativity(np.array([[1.2, -0.1], [0.0, -0.1j]]))
+    assert not classical
+    assert total == pytest.approx(0.2)
+    # a real part above 1 alone is nonclassical but adds no negativity
+    assert _negativity(np.array([[1.2, 0.0], [0.0, 0.0]], dtype=complex)) == (0.0, False)
+    assert not _negativity(np.array([[1.0, 0.0], [0.0, 2e-9j]]))[1]
 
 
-def test_negativity_report_flags_negative_and_imaginary():
-    report = negativity_report(np.array([[1.2, -0.1], [0.0, -0.1j]]))
-    assert not report.classical
-    assert report.total_negativity == pytest.approx(0.2)
-    assert report.max_imag == pytest.approx(0.1)
-
-
-def test_consistency_check_truth_table():
-    classical = negativity_report(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    nonclassical = negativity_report(np.array([[1.1, -0.1], [0.0, 0.0]]))
-    # inside the bound anything goes
-    assert negativity_consistency_check(3.9, 2.0, 2.0, classical)
-    assert negativity_consistency_check(3.9, 2.0, 2.0, nonclassical)
-    # beyond the bound only a nonclassical distribution is allowed
-    assert negativity_consistency_check(4.5, 2.0, 2.0, nonclassical)
-    assert not negativity_consistency_check(4.5, 2.0, 2.0, classical)
+def test_consistency_check_truth_table(monkeypatch):
+    """The verdict on the reference pair, whose covariance bound is 4, with
+    its entry and classicality replaced."""
+    circuit = reference_circuit()
+    theta = np.array([math.pi / 4.0, math.pi / 4.0])
+    plan = kraus_from_estimate(circuit, theta + np.array([0.1, -0.1]), 1.0 / math.sqrt(10.0))
+    cases = [
+        # inside the bound anything goes
+        (3.9, True, True),
+        (3.9, False, True),
+        # beyond the bound only a nonclassical distribution is allowed
+        (4.5, False, True),
+        (4.5, True, False),
+        # the relative slack CLASSICALITY_TOL = 1e-9 on the bound
+        (4.0 * (1.0 + 1e-10), True, True),
+        (4.0 * (1.0 + 1e-8), True, False),
+    ]
+    for entry, classical, consistent in cases:
+        monkeypatch.setattr(kirkwood, "_entry", lambda *args: entry)
+        monkeypatch.setattr(kirkwood, "_negativity", lambda conditioned: (0.0, classical))
+        analysis = analyze_pair(circuit, theta, (0, 1), plan.effect)
+        assert analysis.spread_i * analysis.spread_j == pytest.approx(4.0)
+        assert (analysis.entry, analysis.classical) == (entry, classical)
+        assert analysis.consistent is consistent
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e-9])
-def test_consistency_verdict_is_scale_free(scale):
+def test_consistency_verdict_is_scale_free(monkeypatch, scale):
     """The reference entry beats its bound by the same factor at every scale,
-    so a classical report next to it is flagged at every scale."""
+    so a classical verdict next to it is flagged at every scale."""
     base = reference_circuit()
     circuit = EncodingCircuit(tuple(scale * gen for gen in base.generators), base.initial_state)
     theta = np.array([math.pi / 4.0, math.pi / 4.0]) / scale
@@ -329,10 +330,13 @@ def test_consistency_verdict_is_scale_free(scale):
     assert bound == pytest.approx(4.0 * scale**2, rel=1e-12)
     assert abs(analysis.entry) > 6.0 * bound
     assert analysis.consistent
-    classical = negativity_report(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    assert not negativity_consistency_check(
-        analysis.entry, analysis.spread_i, analysis.spread_j, classical
-    )
+    monkeypatch.setattr(kirkwood, "_negativity", lambda conditioned: (0.0, True))
+    flagged = analyze_pair(circuit, theta, (0, 1), plan.effect)
+    assert flagged.entry == analysis.entry
+    assert not flagged.consistent
+    # just past the bound by more than its relative slack, at every scale
+    monkeypatch.setattr(kirkwood, "_entry", lambda *args: bound * (1.0 + 1e-8))
+    assert not analyze_pair(circuit, theta, (0, 1), plan.effect).consistent
 
 
 def _commuting_circuit(rng, dim, n_params):
@@ -387,7 +391,7 @@ def test_reference_pair_is_anomalous_and_nonclassical():
     assert analysis.spread_i == pytest.approx(2.0)
     assert analysis.spread_j == pytest.approx(2.0)
     assert abs(analysis.entry) > analysis.spread_i * analysis.spread_j
-    assert not analysis.report.classical
+    assert not analysis.classical
     assert analysis.consistent
     direct, _ = qfim_postselected(circuit, theta, plan.effect)
     assert analysis.entry == pytest.approx(direct[0, 1], abs=1e-9)
@@ -398,7 +402,7 @@ def test_commuting_diagonal_pair_is_classical():
     circuit = EncodingCircuit(gens, np.ones(3, dtype=complex) / math.sqrt(3.0))
     effect = np.diag([0.9, 0.6, 0.3]).astype(complex)
     analysis = analyze_pair(circuit, [0.4, 0.9], (0, 1), effect)
-    assert analysis.report.classical
+    assert analysis.classical
     assert abs(analysis.entry) <= analysis.spread_i * analysis.spread_j + 1e-9
     assert analysis.consistent
 

@@ -142,6 +142,50 @@ def test_bad_entry_rejected_with_its_path(key, index, bad):
         scenario_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "key, index, bad",
+    [
+        ("theta_guess", (0,), math.nan),
+        ("theta_true", (1,), -math.inf),
+        ("t", (), math.inf),
+        ("generators", (0, 1, 0, 1), math.inf),
+        ("initial_state", (0, 0), math.nan),
+        ("weight", (1, 1), math.nan),
+        ("povm", (2, 1, 0, 0), math.inf),
+    ],
+)
+def test_non_finite_number_rejected_with_its_path(tmp_path, key, index, bad):
+    data = scenario_to_dict(full_config())
+    if index:
+        parent = data[key]
+        for k in index[:-1]:
+            parent = parent[k]
+        parent[index[-1]] = bad
+    else:
+        data[key] = bad
+    # Python's json writes and reads NaN and Infinity.
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    message = key + "".join(f"[{k}]" for k in index) + ": expected a finite number"
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        load_scenario(path)
+
+
+@pytest.mark.parametrize(
+    "weight, message",
+    [
+        ([[1.0, 0.0], [0.0, -1.0]], "positive definite"),
+        ([[1.0, 2.0], [2.0, 1.0]], "positive definite"),
+        ([[1.0, 0.5], [0.0, 1.0]], "symmetric"),
+    ],
+)
+def test_weight_checked_at_load(weight, message):
+    data = scenario_to_dict(full_config())
+    data["weight"] = weight
+    with pytest.raises(ValidationError, match="^weight must be " + message):
+        scenario_from_dict(data)
+
+
 def test_generated_scenario_round_trips_byte_identically(tmp_path):
     rng = np.random.default_rng(61)
     dim, n_params = 16, 3
