@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import EigenDecomposition, herm_eig, require_hermitian
+from .linalg import herm_eig, require_hermitian
 
 STATE_NORM_TOL = 1e-10
 
@@ -34,8 +34,13 @@ class EncodingCircuit:
     """Ordered Hermitian generators acting on an initial pure state.
 
     ``generators[0]`` acts first; parameter m enters through
-    exp(i*theta[m]*generators[m]). Generator eigendecompositions are cached
-    at construction because every downstream quantity reuses them. Stored
+    exp(i*theta[m]*generators[m]) = V_m diag(exp(i*theta[m]*a_m)) V_m^dag.
+    Every sweep runs in the generators' eigen-coordinates, so construction
+    keeps the chain of basis changes instead of the eigenbases: each
+    spectrum a_m, the entry coordinates V_0^dag psi_0, the transfers
+    T_m = V_{m+1}^dag V_m and the last eigenbasis V_{M-1}, M complex D x D
+    arrays in all. The symmetrized generators are kept exactly in one real
+    D x D array each and rebuilt on each read of ``generators``. Stored
     arrays are write-locked; instances are safe to share.
     """
 
@@ -51,18 +56,39 @@ class EncodingCircuit:
                 )
         state = as_pure_state(initial_state, dim, "initial_state").copy()
         self.dim = int(dim)
-        self.generators = tuple(gens)
+        # A Hermitian matrix fits one real D x D array exactly: real parts on
+        # and above the diagonal, imaginary parts below it.
+        self._packed = tuple(np.triu(gen.real) + np.tril(gen.imag, -1) for gen in gens)
         self.initial_state = state
-        self._eigs = tuple(herm_eig(gen, f"generators[{m}]") for m, gen in enumerate(gens))
-        for arr in self.generators + (self.initial_state,):
+        # Each complex generator is freed once diagonalised, and each eigenbasis
+        # once its transfer is formed; the last eigenbasis is kept.
+        values, basis = herm_eig(gens.pop(0), "generators[0]")
+        self._entry = basis.conj().T @ state
+        eigenvalues, transfers = [values], []
+        for m in range(1, len(self._packed)):
+            values, nxt = herm_eig(gens.pop(0), f"generators[{m}]")
+            transfers.append(nxt.conj().T @ basis)
+            eigenvalues.append(values)
+            basis = nxt
+        self._eigenvalues, self._transfers = tuple(eigenvalues), (*transfers, basis)
+        for arr in self._packed + self._eigenvalues + self._transfers + (state, self._entry):
             arr.setflags(write=False)
 
     @property
     def n_params(self) -> int:
-        return len(self.generators)
+        return len(self._packed)
 
-    def generator_eig(self, m: int) -> EigenDecomposition:
-        return self._eigs[m]
+    @property
+    def generators(self) -> tuple[np.ndarray, ...]:
+        """The Hermitian-symmetrized generators, rebuilt bit for bit."""
+        out = []
+        for packed in self._packed:
+            gen = np.empty(packed.shape, dtype=complex)
+            gen.real = np.triu(packed) + np.triu(packed, 1).T
+            gen.imag = np.tril(packed, -1) - np.tril(packed, -1).T
+            gen.setflags(write=False)
+            out.append(gen)
+        return tuple(out)
 
 
 def as_param_vector(circuit: EncodingCircuit, theta, name: str = "theta") -> np.ndarray:
@@ -85,29 +111,25 @@ def _check_index(index, n_params: int) -> int:
     return int(index)
 
 
-def _rotate(eig: EigenDecomposition, angle: float, block: np.ndarray) -> np.ndarray:
-    """The gate V diag(exp(i angle a)) V^dag on a vector or a D x k block.
+def _sweep(circuit: EncodingCircuit, values, coords: np.ndarray, start: int, stop: int):
+    """Gates start..stop-1 at validated angles on eigen-coordinates of generator start.
 
-    V^dag b is taken as conj(V^T conj(b)), so V is never copied or scaled:
-    every temporary is the size of the block, and a gate costs two products
-    of V with a D x k block.
+    ``coords`` is a vector or a D x k block. Gate m scales it by
+    exp(i theta[m] a_m) and multiplies by T_m, which gives coordinates of
+    generator m+1, or by V_{M-1} after the last gate, which gives the
+    computational basis. A gate costs one product of a D x D array with the
+    block.
     """
-    coeffs = np.conj(eig.eigenvectors.T @ np.conj(block))
-    phases = np.exp(1j * angle * eig.eigenvalues)
-    coeffs *= phases if coeffs.ndim == 1 else phases[:, None]
-    return eig.eigenvectors @ coeffs
-
-
-def _apply_gates(circuit: EncodingCircuit, values, block: np.ndarray, start: int) -> np.ndarray:
-    """Apply gates start..M-1 at validated angles to a vector or a D x k block."""
-    for angle, eig in zip(values[start:], circuit._eigs[start:]):
-        block = _rotate(eig, angle, block)
-    return block
+    for m in range(start, stop):
+        phases = np.exp(1j * values[m] * circuit._eigenvalues[m])
+        scaled = coords * (phases if coords.ndim == 1 else phases[:, None])
+        coords = circuit._transfers[m] @ scaled
+    return coords
 
 
 def evolve(circuit: EncodingCircuit, theta) -> np.ndarray:
     """Apply the full parametrized unitary product to the initial state."""
-    return _apply_gates(circuit, as_param_vector(circuit, theta), circuit.initial_state, 0)
+    return _sweep(circuit, as_param_vector(circuit, theta), circuit._entry, 0, circuit.n_params)
 
 
 def tangent_frame(circuit: EncodingCircuit, theta) -> tuple[np.ndarray, np.ndarray]:
@@ -116,18 +138,19 @@ def tangent_frame(circuit: EncodingCircuit, theta) -> tuple[np.ndarray, np.ndarr
     Returns ``(state, tangents)`` with ``tangents[:, j]`` the derivative of
     the state along theta[j]: i times generator j conjugated by every later
     gate, applied to the state. A D x (M+1) block holds the state and the
-    tangents built so far. At gate m the sweep writes i A_m psi into column
-    m+1, with psi the state before the gate, and then turns columns 0..m+1
-    with the same gate step as ``evolve``. A_m commutes with its own gate,
-    so the gate takes i A_m psi to i A_m times the state after it; later
-    gates rotate each tangent like the state. No D x D product is formed,
-    so the sweep costs O(M^2 D^2).
+    tangents built so far, in eigen-coordinates of the next generator. At
+    gate m the sweep writes i a_m times the state's coordinates into column
+    m+1, which is i A_m psi in A_m's eigenbasis, and then carries columns
+    0..m+1 through the gate with the same step as ``evolve``. A_m commutes
+    with its own gate, so the gate takes i A_m psi to i A_m times the state
+    after it; later gates rotate each tangent like the state. No D x D
+    product is formed, so the sweep costs O(M^2 D^2).
     """
     values = as_param_vector(circuit, theta)
     size = circuit.n_params
     block = np.empty((circuit.dim, size + 1), dtype=complex, order="F")
-    block[:, 0] = circuit.initial_state
+    block[:, 0] = circuit._entry
     for m in range(size):
-        block[:, m + 1] = 1j * (circuit.generators[m] @ block[:, 0])
-        block[:, : m + 2] = _rotate(circuit.generator_eig(m), values[m], block[:, : m + 2])
+        block[:, m + 1] = 1j * circuit._eigenvalues[m] * block[:, 0]
+        block[:, : m + 2] = _sweep(circuit, values, block[:, : m + 2], m, m + 1)
     return block[:, 0], block[:, 1:]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, _apply_gates, as_param_vector, evolve
+from .circuit import EncodingCircuit, _sweep, as_param_vector, evolve
 from .errors import NumericError, ValidationError
 from .fisher import PROBABILITY_FLOOR, _CheckedPovm, _effects, _outcome_slopes
 from .fisher import _check_count, classical_fim, validate_povm
@@ -115,7 +115,7 @@ def mle_fit(
 
     def objective(point):
         # The log floor in loglikelihood covers roundoff-negative probabilities.
-        state = _apply_gates(circuit, point, circuit.initial_state, 0)
+        state = _sweep(circuit, point, circuit._entry, 0, circuit.n_params)
         return loglikelihood(batch.counts, np.real((effects @ state) @ state.conj()))
 
     best = objective(theta)

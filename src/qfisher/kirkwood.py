@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, _apply_gates, _check_index, _rotate, as_param_vector
+from .circuit import EncodingCircuit, _check_index, _sweep, as_param_vector
 from .errors import NumericError, ValidationError
 from .fisher import _check_success_prob, require_effect
 
@@ -28,8 +28,8 @@ EIGENVALUE_ROUNDOFF_RTOL = 1e-12
 # Tolerance for calling a quasiprobability entry classical, and relative
 # slack on the classical covariance bound.
 CLASSICALITY_TOL = 1e-9
-# Slack for cluster projections adding back to the state, for a KD table
-# summing to 1 and for its spectrum marginals being real and nonnegative.
+# Slack for a KD table summing to 1 and for its spectrum marginals being
+# real and nonnegative.
 KD_TABLE_TOL = 1e-9
 
 
@@ -89,11 +89,12 @@ class KdDistribution:
 def kd_distribution(circuit: EncodingCircuit, theta, pair, effect) -> KdDistribution:
     """Joint Kirkwood-Dirac table at theta for a parameter pair and effect.
 
-    Effective generator m has the cached spectrum of generators[m], and
-    P_k psi is gates m+1..M-1 applied to V_m Pi_k V_m^dag psi_m, with V_m
-    the cached eigenbasis and psi_m the state just after gate m. One forward
-    sweep records psi_m; each side's D x K block of projections, which must
-    add back to psi_m, is then carried through the later gates. Entry (k, l)
+    Effective generator m has the spectrum of generators[m], and P_k psi is
+    gates m..M-1 applied to the cluster-k part of the state's coordinates
+    in the eigenbasis of generators[m]. One forward sweep in eigen-coordinates
+    reaches gate m; each side scatters the coordinates by cluster label into
+    a D x K block, which adds back to the state exactly, and carries it
+    through the later gates with the same step as ``evolve``. Entry (k, l)
     is (P_k psi)^dag F (Q_l psi); the failure outcome is (P_k psi)^dag
     (Q_l psi) minus it. Besides F no D x D matrix is formed, and the cost
     is O(M D^2 (K + L)) plus the product of F with the D x L block.
@@ -101,25 +102,13 @@ def kd_distribution(circuit: EncodingCircuit, theta, pair, effect) -> KdDistribu
     theta = as_param_vector(circuit, theta)
     first, second = _check_pair(pair, circuit.n_params)
     mat = require_effect(effect, circuit.dim)
-    state = circuit.initial_state
-    sides = {}
-    for m in range(max(first, second) + 1):
-        eig = circuit.generator_eig(m)
-        state = _rotate(eig, theta[m], state)
-        if m not in (first, second):
-            continue
-        vals, labels, spread = _clusters(eig.eigenvalues)
-        # V^dag psi_m scattered by cluster label: one product with V gives every P_k psi_m.
+    coords, start, sides = circuit._entry, 0, {}
+    for m in sorted({first, second}):
+        coords, start = _sweep(circuit, theta, coords, start, m), m
+        vals, labels, spread = _clusters(circuit._eigenvalues[m])
         scattered = np.zeros((circuit.dim, vals.size), dtype=complex)
-        scattered[np.arange(circuit.dim), labels] = np.conj(eig.eigenvectors.T @ np.conj(state))
-        block = eig.eigenvectors @ scattered
-        drift = float(np.max(np.abs(block.sum(axis=1) - state)))
-        if drift > KD_TABLE_TOL:
-            raise NumericError(
-                f"cluster projections of effective generator {m} do not add up to the "
-                f"state: drift {drift:.3e}"
-            )
-        sides[m] = (_apply_gates(circuit, theta, block, m + 1), vals, spread)
+        scattered[np.arange(circuit.dim), labels] = coords
+        sides[m] = (_sweep(circuit, theta, scattered, m, circuit.n_params), vals, spread)
     (block_i, vals_i, spread_i), (block_j, vals_j, spread_j) = sides[first], sides[second]
     adjoint_i = block_i.conj().T
     success = adjoint_i @ (mat @ block_j)

@@ -7,8 +7,6 @@ identical inputs give identical outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError, ValidationError
@@ -56,29 +54,17 @@ def require_hermitian(values, name: str = "matrix", rtol: float = HERMITICITY_RT
     return (mat + mat.conj().T) / 2.0
 
 
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Spectral data of a Hermitian matrix: H = V diag(a) V^dag.
-
-    Eigenvalues are real and ascending; eigenvector columns are orthonormal
-    and paired with the eigenvalues by position.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def herm_eig(matrix: np.ndarray, name: str = "matrix") -> EigenDecomposition:
-    """Eigendecompose a Hermitian matrix, eigenvalues ascending.
+def herm_eig(matrix: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """``(a, V)`` with H = V diag(a) V^dag: eigenvalues real and ascending,
+    eigenvector columns orthonormal and paired with them by position.
 
     The input must come validated, e.g. from ``require_hermitian``: it is
     not checked again.
     """
     try:
-        eigenvalues, eigenvectors = np.linalg.eigh(matrix)
+        return np.linalg.eigh(matrix)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigendecomposition of {name} failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
 def invert(matrix) -> np.ndarray:

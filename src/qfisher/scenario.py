@@ -16,7 +16,7 @@ import numpy as np
 
 from .circuit import EncodingCircuit
 from .errors import ValidationError
-from .fisher import _validate_weight
+from .fisher import _validate_weight, validate_povm
 
 _REQUIRED_KEYS = ("dim", "generators", "initial_state", "theta_true", "theta_guess", "t")
 _OPTIONAL_KEYS = ("weight", "kd_pair", "povm", "trials", "seed")
@@ -140,7 +140,9 @@ def scenario_from_dict(data) -> ScenarioConfig:
             _int_from_json(v, f"kd_pair[{k}]", 0, n_params) for k, v in enumerate(kd_pair)
         )
     povm = field("povm", _array_from_json, (None, dim, dim), True)
-    povm = None if povm is None else tuple(povm)
+    if povm is not None:
+        validate_povm(povm, dim)
+        povm = tuple(povm)
     trials = field("trials", _int_from_json, 1)
     seed = field("seed", _int_from_json, 0)
     return ScenarioConfig(

@@ -112,17 +112,23 @@ def fd_qfim(circuit, theta, step=1e-5):
     return 4.0 * np.real(fd_geometric_tensor(circuit, theta, step))
 
 
-def conjugated_generator(circuit, theta, m):
-    """Effective generator built by explicit products of matrix exponentials.
+def dense_unitary(circuit, theta, start=0):
+    """Gates start..M-1 multiplied out as dense matrix exponentials.
 
-    Independent of the library's suffix-sweep: each unitary comes from a
-    fresh eigendecomposition here.
+    Independent of the library's eigen-coordinate sweep: each unitary comes
+    from a fresh eigendecomposition of its generator here.
     """
     theta = np.asarray(theta, dtype=float)
-    suffix = np.eye(circuit.dim, dtype=complex)
-    for k in range(circuit.n_params - 1, m, -1):
+    product = np.eye(circuit.dim, dtype=complex)
+    for k in range(start, circuit.n_params):
         vals, vecs = np.linalg.eigh(circuit.generators[k])
-        suffix = suffix @ (vecs * np.exp(1j * theta[k] * vals)) @ vecs.conj().T
+        product = (vecs * np.exp(1j * theta[k] * vals)) @ vecs.conj().T @ product
+    return product
+
+
+def conjugated_generator(circuit, theta, m):
+    """Effective generator: generator m conjugated by the dense later gates."""
+    suffix = dense_unitary(circuit, theta, m + 1)
     return suffix @ circuit.generators[m] @ suffix.conj().T
 
 

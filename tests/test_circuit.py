@@ -16,7 +16,7 @@ from qfisher import (
 )
 from qfisher import circuit as circuit_module
 from qfisher import linalg
-from qfisher.circuit import _apply_gates, _check_index
+from qfisher.circuit import _check_index
 
 from helpers import (
     SIGMA_X,
@@ -26,6 +26,7 @@ from helpers import (
     conjugated_generator,
     fd_tangents,
     random_circuit,
+    random_hermitian,
     reference_circuit,
     three_param_circuit,
 )
@@ -78,6 +79,51 @@ def test_stored_arrays_are_write_locked_copies():
         circuit.initial_state[0] = 5.0
     # the caller's own array stays writable
     state[0] = 3.0
+
+
+def _held_arrays(value):
+    """Every array reachable from ``value`` through attributes and tuples."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _held_arrays(item)
+    elif hasattr(value, "__dict__"):
+        for item in vars(value).values():
+            yield from _held_arrays(item)
+
+
+def test_every_held_array_is_write_locked():
+    circuit = random_circuit(np.random.default_rng(13), dim=6, n_params=3)
+    arrays = list(_held_arrays(circuit))
+    assert len(arrays) > 2 * circuit.n_params
+    assert not any(arr.flags.writeable for arr in arrays)
+
+
+@pytest.mark.parametrize("dim, n_params", [(32, 1), (32, 6), (64, 3)])
+def test_circuit_holds_m_complex_and_m_real_dense_arrays(dim, n_params):
+    """M complex D x D arrays for the sweep, one real D x D array per
+    generator and O(M D) more. Another complex D x D per gate fails, and so
+    do generators kept as complex arrays."""
+    circuit = random_circuit(np.random.default_rng(14), dim=dim, n_params=n_params)
+    owners = {}
+    for arr in _held_arrays(circuit):
+        while isinstance(arr.base, np.ndarray):
+            arr = arr.base
+        owners[id(arr)] = arr.nbytes
+    assert sum(owners.values()) <= n_params * dim**2 * (16 + 8) + 64 * n_params * dim
+
+
+def test_generators_read_back_bit_for_bit():
+    rng = np.random.default_rng(15)
+    # Asymmetric within tolerance, so each generator is stored symmetrized.
+    gens = [random_hermitian(rng, 6) + 1e-14j * rng.standard_normal((6, 6)) for _ in range(3)]
+    gens.append(np.diag(rng.standard_normal(6)))  # real: every imaginary part is zero
+    circuit = EncodingCircuit(gens, np.eye(6)[0])
+    for given, stored in zip(gens, circuit.generators, strict=True):
+        expected = linalg.require_hermitian(given)
+        assert np.array_equal(stored.view(np.uint64), expected.view(np.uint64))
+        assert not stored.flags.writeable
 
 
 def test_evolve_single_generator_closed_form():
@@ -151,8 +197,17 @@ def test_index_validation():
             _check_index(bad, 1)
 
 
-# The gate step applied to the identity block is the gate unitary; evolve,
-# the KD bases and the MLE objective all go through that step.
+def _gate_unitary(generator, angle):
+    """exp(i angle generator) column by column: evolve of each basis state."""
+    eye = np.eye(generator.shape[0], dtype=complex)
+    circuits = [EncodingCircuit((generator,), column) for column in eye]
+    return np.column_stack([evolve(circuit, [angle]) for circuit in circuits])
+
+
+# Evolving each basis state through one gate gives a column of its unitary.
+# evolve, the tangent frame, the KD blocks and the MLE objective all run
+# through the same eigen-coordinate step, so each column also exercises the
+# entry coordinates and the last eigenbasis the circuit stores.
 @settings(deadline=None, derandomize=True, max_examples=40)
 @given(
     arrays(np.float64, (3, 3), elements=finite),
@@ -161,18 +216,15 @@ def test_index_validation():
 )
 def test_unitary_is_unitary(real, imag, angle):
     raw = real + 1j * imag
-    circuit = EncodingCircuit(((raw + raw.conj().T) / 2.0,), np.array([1.0, 0.0, 0.0]))
-    u = _apply_gates(circuit, np.array([angle]), np.eye(3, dtype=complex), 0)
+    u = _gate_unitary((raw + raw.conj().T) / 2.0, angle)
     assert np.max(np.abs(u @ u.conj().T - np.eye(3))) < 1e-10
 
 
 def test_unitary_half_turn_closed_form():
     # The generator squares to the identity, so the expansion terminates.
-    circuit = EncodingCircuit((SIGMA_X,), np.array([1.0, 0.0], dtype=complex))
     angle = 0.7
     expected = np.cos(angle) * np.eye(2) + 1j * np.sin(angle) * SIGMA_X
-    u = _apply_gates(circuit, np.array([angle]), np.eye(2, dtype=complex), 0)
-    assert np.max(np.abs(u - expected)) < 1e-14
+    assert np.max(np.abs(_gate_unitary(SIGMA_X, angle) - expected)) < 1e-14
 
 
 def _small_and_large_circuits(rng, n_small):

@@ -308,3 +308,15 @@ def test_invalid_scenario_numbers_exit_2_before_any_output(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["qfim", "kd", "distill", "crb"])
+def test_bad_povm_exits_2_before_any_output(tmp_path, capsys, command):
+    data = json.loads((SCENARIO_DIR / "reference_qubit.json").read_text())
+    data["povm"][0] = [[[5.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    path = tmp_path / "bad_povm.json"
+    path.write_text(json.dumps(data))
+    assert main([command, "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: povm effects do not sum to the identity\n"

@@ -21,10 +21,10 @@ from qfisher import (
 )
 from qfisher import kirkwood
 from qfisher.kirkwood import _negativity
-from qfisher.linalg import EigenDecomposition
 
 from helpers import (
     conjugated_generator,
+    dense_unitary,
     kd_table_oracle,
     pauli_circuit,
     random_circuit,
@@ -70,11 +70,16 @@ def test_kd_clusters_of_diagonal_generator(levels, values, spread):
     assert np.max(np.abs(dist.table.sum(axis=(1, 2)) - expected)) < 1e-12
 
 
-def _oracle_projectors(operator):
-    """Cluster projectors from a fresh eigendecomposition of ``operator``."""
+def _oracle_clusters(operator):
+    """Eigenvector groups of ``operator``'s clusters, from a fresh eigendecomposition."""
     vals, vecs = np.linalg.eigh(operator)
     splits = np.flatnonzero(np.diff(vals) > 1e-6 * (vals[-1] - vals[0])) + 1
-    return [block @ block.conj().T for block in np.split(vecs, splits, axis=1)]
+    return np.split(vecs, splits, axis=1)
+
+
+def _oracle_projectors(operator):
+    """Cluster projectors of ``operator``."""
+    return [block @ block.conj().T for block in _oracle_clusters(operator)]
 
 
 @pytest.mark.parametrize("dim", [4, 8])
@@ -258,21 +263,48 @@ def test_kd_route_matches_frame_route_at_scale():
                 assert abs(moment - gram[i, j]) <= 1e-12 * np.max(np.abs(gram))
 
 
-def test_kd_completeness_gate_catches_a_corrupt_eigenbasis():
-    """A scaled column of a cached eigenbasis breaks sum_k P_k psi = psi."""
+def test_sweeps_match_dense_unitaries_at_scale():
+    """evolve, tangent_frame and one KD table of a dense D = 128 circuit
+    against products of dense gate unitaries, each from a fresh eigh of its
+    generator, and cluster projections from a fresh eigh of each effective
+    generator. Neither route touches the stored transfers."""
+    rng = np.random.default_rng(60)
+    circuit = random_circuit(rng, dim=128, n_params=4)
+    theta = rng.uniform(-1.5, 1.5, 4)
+    state = dense_unitary(circuit, theta) @ circuit.initial_state
+    assert np.max(np.abs(evolve(circuit, theta) - state)) < 1e-13
+    frame_state, tangents = tangent_frame(circuit, theta)
+    assert np.max(np.abs(frame_state - state)) < 1e-13
+    for j in range(circuit.n_params):
+        expected = 1j * conjugated_generator(circuit, theta, j) @ state
+        assert np.max(np.abs(tangents[:, j] - expected)) < 1e-12
+    effect = random_smeared_effect(rng, circuit.dim)
+
+    def oracle_block(m):
+        groups = _oracle_clusters(conjugated_generator(circuit, theta, m))
+        return np.column_stack([group @ (group.conj().T @ state) for group in groups])
+
+    block_i, block_j = oracle_block(1), oracle_block(3)
+    success = block_i.conj().T @ effect @ block_j
+    expected = np.stack((success, block_i.conj().T @ block_j - success), axis=2)
+    dist = kd_distribution(circuit, theta, (1, 3), effect)
+    assert dist.table.shape == (128, 128, 2)
+    assert np.max(np.abs(dist.table - expected)) < 1e-14
+
+
+def test_kd_table_sum_gate_catches_a_corrupt_transfer():
+    """A scaled column of a stored transfer is no longer a basis change: the
+    carried blocks lose their norm and the table no longer sums to 1."""
     rng = np.random.default_rng(59)
     circuit = random_circuit(rng, dim=6, n_params=3)
     theta = rng.uniform(-1.5, 1.5, 3)
     effect = random_smeared_effect(rng, 6)
-    eig = circuit.generator_eig(1)
-    vectors = eig.eigenvectors.copy()
-    vectors[:, 2] *= 1.01
+    transfer = circuit._transfers[1].copy()
+    transfer[:, 2] *= 1.01
     broken = copy.copy(circuit)
-    broken._eigs = (
-        circuit._eigs[:1] + (EigenDecomposition(eig.eigenvalues, vectors),) + circuit._eigs[2:]
-    )
+    broken._transfers = circuit._transfers[:1] + (transfer,) + circuit._transfers[2:]
     kd_distribution(circuit, theta, (2, 1), effect)
-    with pytest.raises(NumericError, match="effective generator 1 do not add up"):
+    with pytest.raises(NumericError, match=r"table sums to 1\.00065"):
         kd_distribution(broken, theta, (2, 1), effect)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -184,6 +185,32 @@ def test_weight_checked_at_load(weight, message):
     data["weight"] = weight
     with pytest.raises(ValidationError, match="^weight must be " + message):
         scenario_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "effect, message",
+    [
+        ([[5.0, 0.0], [0.0, 0.0]], "povm effects do not sum to the identity"),
+        ([[1.5, 0.0], [0.0, -0.5]], "povm[0] is not positive semidefinite"),
+        ([[0.5, 0.5], [0.0, 0.5]], "povm[0] is not Hermitian"),
+    ],
+)
+def test_povm_checked_at_load(effect, message):
+    data = scenario_to_dict(full_config())
+    data["povm"][0] = [[[value, 0.0] for value in row] for row in effect]
+    with pytest.raises(ValidationError, match="^" + re.escape(message)):
+        scenario_from_dict(data)
+
+
+def test_povm_stored_as_given():
+    """The load-time check does not replace the effects by its symmetrized copies."""
+    config = full_config()
+    skew = np.array([[0.0, 1e-13j], [1e-13j, 0.0]])
+    povm = (config.povm[0] + skew, config.povm[1] - skew) + config.povm[2:]
+    data = scenario_to_dict(dataclasses.replace(config, povm=povm))
+    loaded = scenario_from_dict(data)
+    for given, stored in zip(povm, loaded.povm):
+        assert np.array_equal(given, stored)
 
 
 def test_generated_scenario_round_trips_byte_identically(tmp_path):
