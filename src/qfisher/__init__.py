@@ -80,6 +80,7 @@ __all__ = [
     "kd_distribution",
     "kraus_from_estimate",
     "learnability_interval",
+    "load_scenario",
     "loglikelihood",
     "mle_fit",
     "outcome_probabilities",

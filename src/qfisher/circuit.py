@@ -1,7 +1,7 @@
 """Sequential one-parameter unitary encodings of a pure state.
 
 A circuit applies exp(i*theta[0]*A_0) to the initial state first, then
-exp(i*theta[1]*A_1), and so on: generators are stored in application
+exp(i*theta[1]*A_1), and so on: generators are given in application
 order. Parameter indices are 0-based throughout the package.
 """
 
@@ -39,9 +39,9 @@ class EncodingCircuit:
     keeps the chain of basis changes instead of the eigenbases: each
     spectrum a_m, the entry coordinates V_0^dag psi_0, the transfers
     T_m = V_{m+1}^dag V_m and the last eigenbasis V_{M-1}, M complex D x D
-    arrays in all. The symmetrized generators are kept exactly in one real
-    D x D array each and rebuilt on each read of ``generators``. Stored
-    arrays are write-locked; instances are safe to share.
+    arrays in all. The generators themselves are not kept: a caller who
+    needs them keeps the ones it passed in. Stored arrays are write-locked;
+    instances are safe to share.
     """
 
     def __init__(self, generators, initial_state):
@@ -56,39 +56,24 @@ class EncodingCircuit:
                 )
         state = as_pure_state(initial_state, dim, "initial_state").copy()
         self.dim = int(dim)
-        # A Hermitian matrix fits one real D x D array exactly: real parts on
-        # and above the diagonal, imaginary parts below it.
-        self._packed = tuple(np.triu(gen.real) + np.tril(gen.imag, -1) for gen in gens)
         self.initial_state = state
         # Each complex generator is freed once diagonalised, and each eigenbasis
         # once its transfer is formed; the last eigenbasis is kept.
         values, basis = herm_eig(gens.pop(0), "generators[0]")
         self._entry = basis.conj().T @ state
         eigenvalues, transfers = [values], []
-        for m in range(1, len(self._packed)):
+        for m in range(1, len(gens) + 1):
             values, nxt = herm_eig(gens.pop(0), f"generators[{m}]")
             transfers.append(nxt.conj().T @ basis)
             eigenvalues.append(values)
             basis = nxt
         self._eigenvalues, self._transfers = tuple(eigenvalues), (*transfers, basis)
-        for arr in self._packed + self._eigenvalues + self._transfers + (state, self._entry):
+        for arr in self._eigenvalues + self._transfers + (state, self._entry):
             arr.setflags(write=False)
 
     @property
     def n_params(self) -> int:
-        return len(self._packed)
-
-    @property
-    def generators(self) -> tuple[np.ndarray, ...]:
-        """The Hermitian-symmetrized generators, rebuilt bit for bit."""
-        out = []
-        for packed in self._packed:
-            gen = np.empty(packed.shape, dtype=complex)
-            gen.real = np.triu(packed) + np.triu(packed, 1).T
-            gen.imag = np.tril(packed, -1) - np.tril(packed, -1).T
-            gen.setflags(write=False)
-            out.append(gen)
-        return tuple(out)
+        return len(self._eigenvalues)
 
 
 def as_param_vector(circuit: EncodingCircuit, theta, name: str = "theta") -> np.ndarray:

@@ -26,6 +26,8 @@ MLE_MAX_ITERATIONS = 100
 LOGLIK_PROB_FLOOR = 1e-300
 # Largest |sum(probs) - 1| that sample_outcomes accepts.
 PROB_SUM_TOL = 1e-8
+# Most trials one batch may draw: 16 bytes per trial (a uniform and an index).
+MAX_TRIALS = 10**8
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,8 @@ def sample_outcomes(probs, trials, seed) -> SampleBatch:
     """Draw i.i.d. outcomes by inverse-CDF sampling with a PCG64 stream.
 
     The arithmetic path (cumsum, searchsorted, bincount) is pinned so a
-    given seed always yields identical counts.
+    given seed always yields identical counts. A batch holds every draw in
+    memory, so ``trials`` is capped at ``MAX_TRIALS``.
     """
     probs = np.asarray(probs, dtype=float)
     if probs.ndim != 1 or probs.size == 0:
@@ -58,6 +61,8 @@ def sample_outcomes(probs, trials, seed) -> SampleBatch:
     if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"probs sum to {float(probs.sum()):.12g}, expected 1")
     trials = _check_count(trials, "trials")
+    if trials > MAX_TRIALS:
+        raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials}")
     seed = _check_count(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     draws = rng.random(trials)

@@ -38,13 +38,22 @@ def random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_circuit(rng, dim=None, n_params=None, max_dim=5, max_params=4, scale=2.0):
+def random_problem(rng, dim=None, n_params=None, max_dim=5, max_params=4, scale=2.0):
+    """``(generators, initial_state)`` of a random circuit.
+
+    The circuit keeps no generators, so tests whose oracles need them build
+    the circuit from this pair and hold on to the tuple.
+    """
     if dim is None:
         dim = int(rng.integers(2, max_dim + 1))
     if n_params is None:
         n_params = int(rng.integers(1, max_params + 1))
     generators = tuple(random_hermitian(rng, dim, scale) for _ in range(n_params))
-    return EncodingCircuit(generators, random_state(rng, dim))
+    return generators, random_state(rng, dim)
+
+
+def random_circuit(rng, dim=None, n_params=None, max_dim=5, max_params=4, scale=2.0):
+    return EncodingCircuit(*random_problem(rng, dim, n_params, max_dim, max_params, scale))
 
 
 def random_pauli_string(rng, n_qubits):
@@ -59,20 +68,25 @@ def random_pauli_string(rng, n_qubits):
     return out
 
 
-def pauli_circuit(rng, n_qubits, n_params):
+def pauli_problem(rng, n_qubits, n_params):
+    """``(generators, initial_state)`` of a random Pauli-string circuit."""
     generators = tuple(random_pauli_string(rng, n_qubits) for _ in range(n_params))
-    return EncodingCircuit(generators, random_state(rng, 2**n_qubits))
+    return generators, random_state(rng, 2**n_qubits)
 
 
-def three_param_circuit(rng, pauli):
-    """Three-parameter circuit: Pauli strings on 2-3 qubits or dense D = 2-6.
+def pauli_circuit(rng, n_qubits, n_params):
+    return EncodingCircuit(*pauli_problem(rng, n_qubits, n_params))
+
+
+def three_param_problem(rng, pauli):
+    """Three generators and a state: Pauli strings on 2-3 qubits or dense D = 2-6.
 
     Pauli strings have D/2-fold degenerate spectra, so eigh may pick other
     bases for rescaled copies; dense generators are nondegenerate.
     """
     if pauli:
-        return pauli_circuit(rng, int(rng.integers(2, 4)), 3)
-    return random_circuit(rng, n_params=3, max_dim=6)
+        return pauli_problem(rng, int(rng.integers(2, 4)), 3)
+    return random_problem(rng, n_params=3, max_dim=6)
 
 
 def random_projective_povm(rng, dim):
@@ -112,24 +126,25 @@ def fd_qfim(circuit, theta, step=1e-5):
     return 4.0 * np.real(fd_geometric_tensor(circuit, theta, step))
 
 
-def dense_unitary(circuit, theta, start=0):
-    """Gates start..M-1 multiplied out as dense matrix exponentials.
+def dense_unitary(generators, theta, start=0):
+    """Gates start..M-1 of a circuit with these generators, multiplied out
+    as dense matrix exponentials.
 
     Independent of the library's eigen-coordinate sweep: each unitary comes
     from a fresh eigendecomposition of its generator here.
     """
     theta = np.asarray(theta, dtype=float)
-    product = np.eye(circuit.dim, dtype=complex)
-    for k in range(start, circuit.n_params):
-        vals, vecs = np.linalg.eigh(circuit.generators[k])
+    product = np.eye(generators[0].shape[0], dtype=complex)
+    for k in range(start, len(generators)):
+        vals, vecs = np.linalg.eigh(generators[k])
         product = (vecs * np.exp(1j * theta[k] * vals)) @ vecs.conj().T @ product
     return product
 
 
-def conjugated_generator(circuit, theta, m):
+def conjugated_generator(generators, theta, m):
     """Effective generator: generator m conjugated by the dense later gates."""
-    suffix = dense_unitary(circuit, theta, m + 1)
-    return suffix @ circuit.generators[m] @ suffix.conj().T
+    suffix = dense_unitary(generators, theta, m + 1)
+    return suffix @ generators[m] @ suffix.conj().T
 
 
 def kd_table_oracle(stack_i, effect, stack_j, rho):
@@ -155,11 +170,11 @@ def closed_qubit_state(theta):
     return u2 @ u1 @ np.array([1.0, 0.0], dtype=complex)
 
 
+REFERENCE_GENERATORS = (SIGMA_X, (SIGMA_X + SIGMA_Z) / math.sqrt(2.0))
+
+
 def reference_circuit():
-    return EncodingCircuit(
-        (SIGMA_X, (SIGMA_X + SIGMA_Z) / math.sqrt(2.0)),
-        np.array([1.0, 0.0], dtype=complex),
-    )
+    return EncodingCircuit(REFERENCE_GENERATORS, np.array([1.0, 0.0], dtype=complex))
 
 
 def reference_qfim(theta1):

@@ -26,9 +26,9 @@ from helpers import (
     conjugated_generator,
     fd_tangents,
     random_circuit,
-    random_hermitian,
+    random_problem,
     reference_circuit,
-    three_param_circuit,
+    three_param_problem,
 )
 
 # (D, M) cases up to D=32, M=8, checked beside the small random circuits.
@@ -101,29 +101,17 @@ def test_every_held_array_is_write_locked():
 
 
 @pytest.mark.parametrize("dim, n_params", [(32, 1), (32, 6), (64, 3)])
-def test_circuit_holds_m_complex_and_m_real_dense_arrays(dim, n_params):
-    """M complex D x D arrays for the sweep, one real D x D array per
-    generator and O(M D) more. Another complex D x D per gate fails, and so
-    do generators kept as complex arrays."""
+def test_circuit_holds_only_m_complex_dense_arrays(dim, n_params):
+    """M complex D x D arrays for the sweep and O(M D) more. Another dense
+    D x D array per gate fails, and so does a copy of the generators in any
+    form."""
     circuit = random_circuit(np.random.default_rng(14), dim=dim, n_params=n_params)
     owners = {}
     for arr in _held_arrays(circuit):
         while isinstance(arr.base, np.ndarray):
             arr = arr.base
         owners[id(arr)] = arr.nbytes
-    assert sum(owners.values()) <= n_params * dim**2 * (16 + 8) + 64 * n_params * dim
-
-
-def test_generators_read_back_bit_for_bit():
-    rng = np.random.default_rng(15)
-    # Asymmetric within tolerance, so each generator is stored symmetrized.
-    gens = [random_hermitian(rng, 6) + 1e-14j * rng.standard_normal((6, 6)) for _ in range(3)]
-    gens.append(np.diag(rng.standard_normal(6)))  # real: every imaginary part is zero
-    circuit = EncodingCircuit(gens, np.eye(6)[0])
-    for given, stored in zip(gens, circuit.generators, strict=True):
-        expected = linalg.require_hermitian(given)
-        assert np.array_equal(stored.view(np.uint64), expected.view(np.uint64))
-        assert not stored.flags.writeable
+    assert sum(owners.values()) <= n_params * dim**2 * 16 + 64 * n_params * dim
 
 
 def test_evolve_single_generator_closed_form():
@@ -161,30 +149,30 @@ def test_evolve_rejects_bad_theta():
         evolve(circuit, [np.nan])
 
 
-def _derivative_state(circuit, theta, j):
+def _derivative_state(generators, circuit, theta, j):
     """Tangent along theta[j] as i * (effective generator j) |psi_theta>."""
-    return 1j * conjugated_generator(circuit, theta, j) @ evolve(circuit, theta)
+    return 1j * conjugated_generator(generators, theta, j) @ evolve(circuit, theta)
 
 
 # The "tilde generator" is generator m conjugated by every later gate; the
 # tests below pin the oracle that the tangent-frame test relies on.
 def test_tilde_generator_conjugation_known_case():
     # conjugating sigma_x by exp(i pi/4 sigma_z) rotates it onto -sigma_y
-    circuit = EncodingCircuit((SIGMA_X, SIGMA_Z), np.array([1.0, 0.0], dtype=complex))
-    tilde = conjugated_generator(circuit, [0.3, math.pi / 4], 0)
+    generators = (SIGMA_X, SIGMA_Z)
+    tilde = conjugated_generator(generators, [0.3, math.pi / 4], 0)
     assert np.max(np.abs(tilde + SIGMA_Y)) < 1e-12
     # the last parameter's generator is never conjugated
-    assert np.max(np.abs(conjugated_generator(circuit, [0.3, math.pi / 4], 1) - SIGMA_Z)) < 1e-14
+    assert np.max(np.abs(conjugated_generator(generators, [0.3, math.pi / 4], 1) - SIGMA_Z)) < 1e-14
 
 
 def test_tilde_generator_preserves_spectrum():
     rng = np.random.default_rng(11)
     for _ in range(10):
-        circuit = random_circuit(rng)
-        theta = rng.uniform(-1.5, 1.5, circuit.n_params)
-        m = int(rng.integers(0, circuit.n_params))
-        tilde = conjugated_generator(circuit, theta, m)
-        original = np.linalg.eigvalsh(circuit.generators[m])
+        generators, _ = random_problem(rng)
+        theta = rng.uniform(-1.5, 1.5, len(generators))
+        m = int(rng.integers(0, len(generators)))
+        tilde = conjugated_generator(generators, theta, m)
+        original = np.linalg.eigvalsh(generators[m])
         assert np.max(np.abs(np.linalg.eigvalsh(tilde) - original)) < 1e-10
 
 
@@ -228,31 +216,33 @@ def test_unitary_half_turn_closed_form():
 
 
 def _small_and_large_circuits(rng, n_small):
-    for _ in range(n_small):
-        yield random_circuit(rng)
-    for dim, n_params in LARGE_SIZES:
-        yield random_circuit(rng, dim=dim, n_params=n_params)
+    """``(generators, circuit)`` pairs: n_small random ones, then LARGE_SIZES."""
+    sizes = [(None, None)] * n_small + list(LARGE_SIZES)
+    for dim, n_params in sizes:
+        generators, state = random_problem(rng, dim=dim, n_params=n_params)
+        yield generators, EncodingCircuit(generators, state)
 
 
 def test_derivative_state_matches_finite_difference():
     rng = np.random.default_rng(21)
-    for circuit in _small_and_large_circuits(rng, 15):
+    for generators, circuit in _small_and_large_circuits(rng, 15):
         theta = rng.uniform(-1.5, 1.5, circuit.n_params)
         numeric = fd_tangents(circuit, theta)
         for j in range(circuit.n_params):
-            analytic = _derivative_state(circuit, theta, j)
+            analytic = _derivative_state(generators, circuit, theta, j)
             assert np.max(np.abs(analytic - numeric[:, j])) < 1e-7
 
 
 def test_tangent_frame_matches_per_index_derivatives():
     rng = np.random.default_rng(31)
-    for circuit in _small_and_large_circuits(rng, 10):
+    for generators, circuit in _small_and_large_circuits(rng, 10):
         theta = rng.uniform(-1.5, 1.5, circuit.n_params)
         state, tangents = tangent_frame(circuit, theta)
         assert tangents.shape == (circuit.dim, circuit.n_params)
         assert np.max(np.abs(state - evolve(circuit, theta))) < 1e-12
         for j in range(circuit.n_params):
-            assert np.max(np.abs(tangents[:, j] - _derivative_state(circuit, theta, j))) < 1e-11
+            expected = _derivative_state(generators, circuit, theta, j)
+            assert np.max(np.abs(tangents[:, j] - expected)) < 1e-11
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)
@@ -267,12 +257,11 @@ def test_tangent_frame_matches_per_index_derivatives():
 def test_tangent_frame_rescaling(seed, log_scale, pauli):
     """A -> cA with theta -> theta/c keeps the state, scales tangents by c and the QFIM by c^2."""
     rng = np.random.default_rng(seed)
-    circuit = three_param_circuit(rng, pauli)
+    generators, initial = three_param_problem(rng, pauli)
+    circuit = EncodingCircuit(generators, initial)
     theta = rng.uniform(-1.5, 1.5, 3)
     scale = 10.0**log_scale
-    scaled = EncodingCircuit(
-        tuple(scale * gen for gen in circuit.generators), circuit.initial_state
-    )
+    scaled = EncodingCircuit(tuple(scale * gen for gen in generators), initial)
     state, tangents = tangent_frame(circuit, theta)
     scaled_state, scaled_tangents = tangent_frame(scaled, theta / scale)
     assert np.max(np.abs(scaled_state - state)) < 1e-12
@@ -290,9 +279,10 @@ def test_tangent_frame_rescaling(seed, log_scale, pauli):
 )
 def test_qfim_and_curvature_ignore_global_phase(seed, phase, pauli):
     rng = np.random.default_rng(seed)
-    circuit = three_param_circuit(rng, pauli)
+    generators, initial = three_param_problem(rng, pauli)
+    circuit = EncodingCircuit(generators, initial)
     theta = rng.uniform(-1.5, 1.5, 3)
-    shifted = EncodingCircuit(circuit.generators, np.exp(1j * phase) * circuit.initial_state)
+    shifted = EncodingCircuit(generators, np.exp(1j * phase) * initial)
     assert np.max(np.abs(qfim_pure(shifted, theta) - qfim_pure(circuit, theta))) < 1e-12
     moved = uhlmann_curvature(shifted, theta) - uhlmann_curvature(circuit, theta)
     assert np.max(np.abs(moved)) < 1e-12

@@ -250,6 +250,21 @@ def test_crb_rejects_too_few_batches(capsys):
     capsys.readouterr()
 
 
+def test_crb_refuses_huge_trials_but_qfim_runs(tmp_path, capsys):
+    # trials also counts copies for the risk bracket, so the scenario loads;
+    # only sampling refuses a batch it could not hold in memory.
+    data = json.loads(Path(SINGLE).read_text())
+    data["trials"] = 2**63
+    path = tmp_path / "huge_trials.json"
+    path.write_text(json.dumps(data))
+    assert main(["crb", "--scenario", str(path), "--batches", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: trials must be at most 100000000, got 9223372036854775808\n"
+    assert main(["qfim", "--scenario", str(path)]) == 0
+    assert "risk_lower:" in capsys.readouterr().out
+
+
 def test_missing_scenario_file(tmp_path, capsys):
     # a missing file, a directory, non-UTF-8 bytes and a directory as --csv
     # are all unreadable input: exit 2 with an error line, no traceback. The

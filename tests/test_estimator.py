@@ -20,6 +20,8 @@ from qfisher import (
     sample_outcomes,
 )
 
+from qfisher.estimator import MAX_TRIALS
+
 from helpers import SIGMA_X, reference_circuit, sic_povm
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -72,6 +74,16 @@ def test_sample_outcomes_validation():
         sample_outcomes([0.5, 0.5], 10, -1)
     with pytest.raises(ValidationError):
         sample_outcomes([0.5, 0.5], 10, True)
+
+
+@pytest.mark.parametrize("trials", [MAX_TRIALS + 1, 2**63])
+def test_sample_outcomes_refuses_trials_above_cap_before_drawing(monkeypatch, trials):
+    def no_stream(seed):
+        raise AssertionError("a random stream was opened")
+
+    monkeypatch.setattr(np.random, "default_rng", no_stream)
+    with pytest.raises(ValidationError, match=f"trials must be at most {MAX_TRIALS}, got {trials}"):
+        sample_outcomes([0.5, 0.5], trials, 0)
 
 
 def test_loglikelihood_pinned_value():

@@ -23,17 +23,20 @@ from qfisher import kirkwood
 from qfisher.kirkwood import _negativity
 
 from helpers import (
+    REFERENCE_GENERATORS,
     conjugated_generator,
     dense_unitary,
     kd_table_oracle,
     pauli_circuit,
+    pauli_problem,
     random_circuit,
     random_hermitian,
+    random_problem,
     random_smeared_effect,
     random_state,
     random_unitary,
     reference_circuit,
-    three_param_circuit,
+    three_param_problem,
 )
 
 
@@ -92,7 +95,8 @@ def test_kd_scalar_generator_is_one_cluster(dim):
     rng = np.random.default_rng(55 + dim)
     basis = random_unitary(rng, dim)
     scalar = basis @ (2.0 * np.eye(dim)) @ basis.conj().T
-    circuit = EncodingCircuit((scalar, random_hermitian(rng, dim, 2.0)), random_state(rng, dim))
+    generators = (scalar, random_hermitian(rng, dim, 2.0))
+    circuit = EncodingCircuit(generators, random_state(rng, dim))
     theta = np.array([0.3, -0.5])
     effect = random_smeared_effect(rng, dim)
     dist = kd_distribution(circuit, theta, (0, 1), effect)
@@ -101,7 +105,7 @@ def test_kd_scalar_generator_is_one_cluster(dim):
     assert dist.eigenvalues_i == pytest.approx([2.0], abs=1e-12)
     state = evolve(circuit, theta)
     rho = np.outer(state, state.conj())
-    proj_j = _oracle_projectors(conjugated_generator(circuit, theta, 1))
+    proj_j = _oracle_projectors(conjugated_generator(generators, theta, 1))
     for m, outcome in enumerate((effect, np.eye(dim) - effect)):
         expected = kd_table_oracle([np.eye(dim)], outcome, proj_j, rho)
         assert np.max(np.abs(dist.table[:, :, m] - expected)) < 1e-12
@@ -129,10 +133,11 @@ def test_kd_scalar_generator_with_classical_pair_is_consistent():
 
 def test_kd_table_matches_trace_oracle():
     rng = np.random.default_rng(52)
-    circuits = [random_circuit(rng, max_params=3) for _ in range(8)]
-    circuits += [random_circuit(rng, dim=dim, n_params=3) for dim in (16, 32)]
-    circuits += [pauli_circuit(rng, n_qubits, 3) for n_qubits in (4, 5)]
-    for circuit in circuits:
+    problems = [random_problem(rng, max_params=3) for _ in range(8)]
+    problems += [random_problem(rng, dim=dim, n_params=3) for dim in (16, 32)]
+    problems += [pauli_problem(rng, n_qubits, 3) for n_qubits in (4, 5)]
+    for generators, initial in problems:
+        circuit = EncodingCircuit(generators, initial)
         if circuit.n_params < 2:
             continue
         theta = rng.uniform(-1.5, 1.5, circuit.n_params)
@@ -140,8 +145,8 @@ def test_kd_table_matches_trace_oracle():
         dist = kd_distribution(circuit, theta, (0, circuit.n_params - 1), effect)
         state = evolve(circuit, theta)
         rho = np.outer(state, state.conj())
-        proj_i = _oracle_projectors(conjugated_generator(circuit, theta, 0))
-        proj_j = _oracle_projectors(conjugated_generator(circuit, theta, circuit.n_params - 1))
+        proj_i = _oracle_projectors(conjugated_generator(generators, theta, 0))
+        proj_j = _oracle_projectors(conjugated_generator(generators, theta, circuit.n_params - 1))
         expected = kd_table_oracle(proj_i, effect, proj_j, rho)
         assert dist.table.shape[:2] == expected.shape
         assert np.max(np.abs(dist.table[:, :, 0] - expected)) < 1e-10
@@ -162,14 +167,13 @@ def test_kd_table_matches_trace_oracle():
 def test_kd_rescaling_scales_entry_by_square(seed, log_scale, pauli):
     """A -> cA with theta -> theta/c keeps the clusters and scales the entry by c^2."""
     rng = np.random.default_rng(seed)
-    circuit = three_param_circuit(rng, pauli)
+    generators, initial = three_param_problem(rng, pauli)
+    circuit = EncodingCircuit(generators, initial)
     theta = rng.uniform(-1.5, 1.5, 3)
     effect = random_smeared_effect(rng, circuit.dim)
     pair = tuple(int(k) for k in rng.integers(0, 3, 2))
     scale = 10.0**log_scale
-    scaled = EncodingCircuit(
-        tuple(scale * gen for gen in circuit.generators), circuit.initial_state
-    )
+    scaled = EncodingCircuit(tuple(scale * gen for gen in generators), initial)
     base = analyze_pair(circuit, theta, pair, effect)
     rescaled = analyze_pair(scaled, theta / scale, pair, effect)
     assert rescaled.conditioned.shape == base.conditioned.shape
@@ -187,11 +191,12 @@ def test_kd_rescaling_scales_entry_by_square(seed, log_scale, pauli):
 )
 def test_kd_table_ignores_global_phase(seed, phase, pauli):
     rng = np.random.default_rng(seed)
-    circuit = three_param_circuit(rng, pauli)
+    generators, initial = three_param_problem(rng, pauli)
+    circuit = EncodingCircuit(generators, initial)
     theta = rng.uniform(-1.5, 1.5, 3)
     effect = random_smeared_effect(rng, circuit.dim)
     pair = tuple(int(k) for k in rng.integers(0, 3, 2))
-    shifted = EncodingCircuit(circuit.generators, np.exp(1j * phase) * circuit.initial_state)
+    shifted = EncodingCircuit(generators, np.exp(1j * phase) * initial)
     base = kd_distribution(circuit, theta, pair, effect)
     moved = kd_distribution(shifted, theta, pair, effect)
     assert moved.table.shape == base.table.shape
@@ -269,19 +274,20 @@ def test_sweeps_match_dense_unitaries_at_scale():
     generator, and cluster projections from a fresh eigh of each effective
     generator. Neither route touches the stored transfers."""
     rng = np.random.default_rng(60)
-    circuit = random_circuit(rng, dim=128, n_params=4)
+    generators, initial = random_problem(rng, dim=128, n_params=4)
+    circuit = EncodingCircuit(generators, initial)
     theta = rng.uniform(-1.5, 1.5, 4)
-    state = dense_unitary(circuit, theta) @ circuit.initial_state
+    state = dense_unitary(generators, theta) @ initial
     assert np.max(np.abs(evolve(circuit, theta) - state)) < 1e-13
     frame_state, tangents = tangent_frame(circuit, theta)
     assert np.max(np.abs(frame_state - state)) < 1e-13
     for j in range(circuit.n_params):
-        expected = 1j * conjugated_generator(circuit, theta, j) @ state
+        expected = 1j * conjugated_generator(generators, theta, j) @ state
         assert np.max(np.abs(tangents[:, j] - expected)) < 1e-12
     effect = random_smeared_effect(rng, circuit.dim)
 
     def oracle_block(m):
-        groups = _oracle_clusters(conjugated_generator(circuit, theta, m))
+        groups = _oracle_clusters(conjugated_generator(generators, theta, m))
         return np.column_stack([group @ (group.conj().T @ state) for group in groups])
 
     block_i, block_j = oracle_block(1), oracle_block(3)
@@ -352,8 +358,9 @@ def test_consistency_check_truth_table(monkeypatch):
 def test_consistency_verdict_is_scale_free(monkeypatch, scale):
     """The reference entry beats its bound by the same factor at every scale,
     so a classical verdict next to it is flagged at every scale."""
-    base = reference_circuit()
-    circuit = EncodingCircuit(tuple(scale * gen for gen in base.generators), base.initial_state)
+    circuit = EncodingCircuit(
+        tuple(scale * gen for gen in REFERENCE_GENERATORS), reference_circuit().initial_state
+    )
     theta = np.array([math.pi / 4.0, math.pi / 4.0]) / scale
     guess = theta + np.array([0.1, -0.1]) / scale
     plan = kraus_from_estimate(circuit, guess, 1.0 / math.sqrt(10.0))
@@ -371,13 +378,13 @@ def test_consistency_verdict_is_scale_free(monkeypatch, scale):
     assert not analyze_pair(circuit, theta, (0, 1), plan.effect).consistent
 
 
-def _commuting_circuit(rng, dim, n_params):
-    """Generators with random spectra in one shared random basis."""
+def _commuting_problem(rng, dim, n_params):
+    """Generators with random spectra in one shared random basis, and a state."""
     basis = random_unitary(rng, dim)
     generators = tuple(
         (basis * rng.uniform(-2.0, 2.0, dim)) @ basis.conj().T for _ in range(n_params)
     )
-    return EncodingCircuit(generators, random_state(rng, dim))
+    return generators, random_state(rng, dim)
 
 
 @settings(deadline=None, derandomize=True, max_examples=30)
@@ -387,11 +394,12 @@ def test_reordering_commuting_generators_permutes_results(seed, dim, n_params):
     generators together with theta permutes the QFIMs and keeps the KD table
     of the mapped pair."""
     rng = np.random.default_rng(seed)
-    circuit = _commuting_circuit(rng, dim, n_params)
+    generators, initial = _commuting_problem(rng, dim, n_params)
+    circuit = EncodingCircuit(generators, initial)
     theta = rng.uniform(-1.5, 1.5, n_params)
     guess = theta + rng.uniform(-0.05, 0.05, n_params)
     perm = rng.permutation(n_params)
-    moved = EncodingCircuit(tuple(circuit.generators[k] for k in perm), circuit.initial_state)
+    moved = EncodingCircuit(tuple(generators[k] for k in perm), initial)
     inverse = np.argsort(perm)
 
     qfim = qfim_pure(circuit, theta)

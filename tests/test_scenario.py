@@ -2,11 +2,13 @@ import dataclasses
 import json
 import math
 import re
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qfisher
 from qfisher import (
     ScenarioConfig,
     ValidationError,
@@ -27,6 +29,16 @@ from helpers import (
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+def test_all_lists_every_public_name():
+    """``__all__`` is exactly the package's public names that are not submodules."""
+    public = {
+        name
+        for name, value in vars(qfisher).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert sorted(qfisher.__all__) == sorted(public)
 
 
 def minimal_config():
