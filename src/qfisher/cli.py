@@ -18,8 +18,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import io
 import json
 import math
+import os
+import stat
 import sys
 import warnings
 
@@ -75,11 +78,30 @@ def _scenario_circuit(args) -> tuple[ScenarioConfig, EncodingCircuit]:
     return config, build_circuit(config)
 
 
+@contextlib.contextmanager
 def _open_csv(path, default=None):
-    """Open the --csv target before any computation, so a bad path fails fast."""
-    if path:
-        return open(path, "w", newline="", encoding="utf-8")
-    return contextlib.nullcontext(default)
+    """Yield a buffer for the --csv target, or ``default`` without one.
+
+    The target is opened before any computation, so a bad path fails fast,
+    but for appending, so a run that fails leaves an earlier file as it was
+    (and removes a file it created). The buffer replaces the file's
+    contents only when the block ends without raising.
+    """
+    if not path:
+        yield default
+        return
+    created = not os.path.lexists(path)
+    with open(path, "a", newline="", encoding="utf-8") as target:
+        buffer = io.StringIO(newline="")
+        try:
+            yield buffer
+        except BaseException:
+            if created:
+                os.unlink(path)
+            raise
+        if stat.S_ISREG(os.fstat(target.fileno()).st_mode):
+            target.truncate(0)  # a device, FIFO or pipe has nothing to clear
+        target.write(buffer.getvalue())
 
 
 def _risk_line(label: str, bracket, trials: int) -> None:
@@ -105,13 +127,13 @@ def cmd_qfim(args) -> int:
             for i in range(circuit.n_params):
                 for j in range(circuit.n_params):
                     writer.writerow([i, j, fmt_csv(qfim[i, j]), fmt_csv(curvature[i, j])])
-    # Both of these need the inverse QFIM; a singular matrix aborts with
-    # exit code 3 after the matrices above have been shown.
-    print(f"geometric_quantumness: {fmt(geometric_quantumness(qfim, curvature))}")
-    trials = 1 if config.trials is None else config.trials
-    lower, upper = learnability_interval(qfim, config.weight, trials)
-    print(f"risk_lower: {fmt(lower)}")
-    print(f"risk_upper: {fmt(upper)}")
+        # Both of these need the inverse QFIM; a singular matrix aborts with
+        # exit code 3 after the matrices above have been shown.
+        print(f"geometric_quantumness: {fmt(geometric_quantumness(qfim, curvature))}")
+        trials = 1 if config.trials is None else config.trials
+        lower, upper = learnability_interval(qfim, config.weight, trials)
+        print(f"risk_lower: {fmt(lower)}")
+        print(f"risk_upper: {fmt(upper)}")
     return 0
 
 
@@ -185,39 +207,48 @@ def _parse_t_list(raw: str) -> list[float]:
     return values
 
 
+def _sweep_rows(config: ScenarioConfig, circuit: EncodingCircuit, t_values, trials: int) -> list:
+    """One CSV row per transmissivity; a point that fails becomes a warning line."""
+    rows = []
+    for t in t_values:
+        try:
+            report = distillation_report(
+                circuit, config.theta_true, config.theta_guess, t, config.weight, trials
+            )
+        except (ValidationError, NumericError) as exc:
+            print(f"warning: t={fmt(t)}: {exc}", file=sys.stderr)
+            continue
+        lower, upper = report.risk_after or (math.nan, math.nan)
+        rows.append(
+            [
+                fmt_csv(report.plan.transmissivity),
+                fmt_csv(report.success_prob),
+                fmt_csv(np.linalg.det(report.qfim_exact)),
+                fmt_csv(np.linalg.det(report.qfim_predicted)),
+                fmt_csv(report.lossless_residual),
+                fmt_csv(lower),
+                fmt_csv(upper),
+                fmt_csv(report.regime_ratio),
+            ]
+        )
+    return rows
+
+
 def cmd_sweep(args) -> int:
     config, circuit = _scenario_circuit(args)
     t_values = _parse_t_list(args.t_list)
     trials = 1 if config.trials is None else config.trials
-    with _open_csv(args.csv, sys.stdout) as handle:
-        rows = []
-        for t in t_values:
-            try:
-                report = distillation_report(
-                    circuit, config.theta_true, config.theta_guess, t, config.weight, trials
-                )
-            except (ValidationError, NumericError) as exc:
-                print(f"warning: t={fmt(t)}: {exc}", file=sys.stderr)
-                continue
-            lower, upper = report.risk_after or (math.nan, math.nan)
-            rows.append(
-                [
-                    fmt_csv(report.plan.transmissivity),
-                    fmt_csv(report.success_prob),
-                    fmt_csv(np.linalg.det(report.qfim_exact)),
-                    fmt_csv(np.linalg.det(report.qfim_predicted)),
-                    fmt_csv(report.lossless_residual),
-                    fmt_csv(lower),
-                    fmt_csv(upper),
-                    fmt_csv(report.regime_ratio),
-                ]
-            )
-        if not rows:
-            print("error: every sweep point failed", file=sys.stderr)
-            return 3
-        writer = csv.writer(handle)
-        writer.writerow(_SWEEP_COLUMNS)
-        writer.writerows(rows)
+    try:
+        with _open_csv(args.csv, sys.stdout) as handle:
+            rows = _sweep_rows(config, circuit, t_values, trials)
+            if not rows:
+                raise NumericError("every sweep point failed")
+            writer = csv.writer(handle)
+            writer.writerow(_SWEEP_COLUMNS)
+            writer.writerows(rows)
+    except NumericError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

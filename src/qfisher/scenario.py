@@ -10,7 +10,9 @@ the offending field path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -75,22 +77,65 @@ def _check_nested(value, path: str, dims: tuple, pairs: bool) -> None:
         if is_pair:
             _fail(path, f"complex entries must be [re, im] pairs, got {value!r}")
         _fail(path, f"expected a list of {dims[0] or 'one or more'} entries")
-    rest = dims[1:]
     for k, item in enumerate(value):
-        # Plain floats and ints at the last level need no call and no path.
-        if rest or type(item) not in (float, int):
-            _check_nested(item, f"{path}[{k}]", rest, pairs)
+        _check_nested(item, f"{path}[{k}]", dims[1:], pairs)
+
+
+def _plain_leaves(value, dims: tuple, pairs: bool):
+    """``(leaves, shape)`` if ``value`` nests to ``dims`` in plain JSON types, else None.
+
+    Checks one nesting level at a time, with no call per entry: every
+    container a list (a tuple is also taken at the pair level), one exact
+    length per level and every leaf exactly a float or an int. Whatever
+    else it meets, even what ``_check_nested`` would take, returns None.
+    """
+    level, shape = [value], []
+    for depth, size in enumerate(dims):
+        containers = {list, tuple} if pairs and depth == len(dims) - 1 else {list}
+        if not set(map(type, level)) <= containers:
+            return None
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            return None
+        (length,) = lengths
+        if length != size if size else not length:
+            return None
+        shape.append(length)
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {float, int}:
+        return None
+    return level, tuple(shape)
+
+
+def _huge_as_inf(value):
+    """``value`` with every number too large for a float read as infinity."""
+    if isinstance(value, (list, tuple)):
+        return [_huge_as_inf(item) for item in value]
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _array_from_json(value, path: str, shape: tuple, pairs: bool = False) -> np.ndarray:
     """Decode numbers, or [re, im] pairs if ``pairs``, nested to ``shape``.
 
     A None in ``shape`` takes any nonzero length. Errors name the path of
-    the first entry off shape, not a number, or not finite. Pairs are read
-    through a complex128 view, which keeps the sign of every zero.
+    the first entry off shape, not a number, or not finite (an integer too
+    large for a float counts as infinite). Pairs are read through a
+    complex128 view, which keeps the sign of every zero.
     """
-    _check_nested(value, path, shape + (2,) if pairs else shape, pairs)
-    array = np.array(value, dtype=float)
+    dims = shape + (2,) if pairs else shape
+    plain = _plain_leaves(value, dims, pairs)
+    if plain is None:
+        _check_nested(value, path, dims, pairs)
+    numbers, found = plain or (value, None)
+    try:
+        array = np.array(numbers, dtype=float)
+    except OverflowError:
+        array = np.array(_huge_as_inf(numbers), dtype=float)
+    if found is not None:
+        array = array.reshape(found)
     bad = np.argwhere(~np.isfinite(array))
     if len(bad):
         _fail(path + "".join(f"[{k}]" for k in bad[0]), "expected a finite number")
@@ -173,6 +218,14 @@ def scenario_to_dict(config: ScenarioConfig) -> dict:
     return {key: value for key, value in data.items() if value is not None}
 
 
+def _parse_int(text: str):
+    """An integer literal, or infinity if it is past Python's digit limit."""
+    try:
+        return int(text)
+    except ValueError:
+        return math.inf
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Read and validate a scenario JSON file.
 
@@ -181,7 +234,7 @@ def load_scenario(path) -> ScenarioConfig:
     ValidationError with the field path.
     """
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
+        data = json.load(handle, parse_int=_parse_int)
     return scenario_from_dict(data)
 
 

@@ -2,6 +2,9 @@ import csv
 import io
 import json
 import math
+import os
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +20,30 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 REFERENCE = str(SCENARIO_DIR / "reference_qubit.json")
 COMMUTING = str(SCENARIO_DIR / "commuting_classical.json")
 SINGLE = str(SCENARIO_DIR / "single_parameter_crb.json")
+
+# Stands for a 5000-digit integer literal, which Python's int() refuses to
+# read (and json.dumps to write) past its default limit of 4300 digits.
+PAST_DIGIT_LIMIT = "<5000 digits>"
+
+
+def _singular_scenario(path):
+    config = ScenarioConfig(
+        dim=2,
+        generators=(SIGMA_X, SIGMA_X),  # identical generators: rank-1 QFIM
+        initial_state=np.array([1.0, 0.0], dtype=complex),
+        theta_true=np.array([0.3, 0.4]),
+        theta_guess=np.array([0.3, 0.4]),
+        t=0.5,
+    )
+    save_scenario(config, path)
+    return str(path)
+
+
+def _huge_trials_scenario(path):
+    data = json.loads(Path(SINGLE).read_text())
+    data["trials"] = 2**63
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 def test_formatters():
@@ -54,17 +81,8 @@ def test_qfim_csv_is_byte_stable(tmp_path, capsys):
 
 
 def test_qfim_singular_exits_3(tmp_path, capsys):
-    config = ScenarioConfig(
-        dim=2,
-        generators=(SIGMA_X, SIGMA_X),  # identical generators: rank-1 QFIM
-        initial_state=np.array([1.0, 0.0], dtype=complex),
-        theta_true=np.array([0.3, 0.4]),
-        theta_guess=np.array([0.3, 0.4]),
-        t=0.5,
-    )
-    path = tmp_path / "singular.json"
-    save_scenario(config, path)
-    assert main(["qfim", "--scenario", str(path)]) == 3
+    path = _singular_scenario(tmp_path / "singular.json")
+    assert main(["qfim", "--scenario", path]) == 3
     captured = capsys.readouterr()
     assert "numeric error" in captured.err
     # the matrices still print before the inversion fails
@@ -253,24 +271,22 @@ def test_crb_rejects_too_few_batches(capsys):
 def test_crb_refuses_huge_trials_but_qfim_runs(tmp_path, capsys):
     # trials also counts copies for the risk bracket, so the scenario loads;
     # only sampling refuses a batch it could not hold in memory.
-    data = json.loads(Path(SINGLE).read_text())
-    data["trials"] = 2**63
-    path = tmp_path / "huge_trials.json"
-    path.write_text(json.dumps(data))
-    assert main(["crb", "--scenario", str(path), "--batches", "5"]) == 2
+    path = _huge_trials_scenario(tmp_path / "huge_trials.json")
+    assert main(["crb", "--scenario", path, "--batches", "5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: trials must be at most 100000000, got 9223372036854775808\n"
-    assert main(["qfim", "--scenario", str(path)]) == 0
+    assert main(["qfim", "--scenario", path]) == 0
     assert "risk_lower:" in capsys.readouterr().out
 
 
 def test_missing_scenario_file(tmp_path, capsys):
     # a missing file, a directory, non-UTF-8 bytes and a directory as --csv
     # are all unreadable input: exit 2 with an error line, no traceback. The
-    # --csv target is opened before any computation, so nothing is printed.
+    # --csv target is checked before any computation, so nothing is printed.
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"name": "\xff"}')
+    absent = tmp_path / "no-such-dir" / "out.csv"
     for argv in (
         ["qfim", "--scenario", "no-such-file.json"],
         ["qfim", "--scenario", str(tmp_path)],
@@ -278,11 +294,75 @@ def test_missing_scenario_file(tmp_path, capsys):
         ["qfim", "--scenario", REFERENCE, "--csv", str(tmp_path)],
         ["crb", "--scenario", SINGLE, "--batches", "5", "--csv", str(tmp_path)],
         ["sweep", "--scenario", REFERENCE, "--t-list", "0.5", "--csv", str(tmp_path)],
+        ["sweep", "--scenario", REFERENCE, "--t-list", "0.5", "--csv", str(absent)],
     ):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert "error" in captured.err
         assert captured.out == ""
+    assert repr(str(absent)) in captured.err
+
+
+@pytest.mark.parametrize(
+    "command, failing, code, passing",
+    [
+        ("qfim", ["--scenario", _singular_scenario], 3, ["--scenario", REFERENCE]),
+        (
+            "sweep",
+            ["--scenario", REFERENCE, "--t-list", "2"],
+            3,
+            ["--scenario", REFERENCE, "--t-list", "0.4,0.9"],
+        ),
+        (
+            "crb",
+            ["--scenario", _huge_trials_scenario, "--batches", "5"],
+            2,
+            ["--scenario", SINGLE, "--batches", "5"],
+        ),
+    ],
+    ids=["qfim", "sweep", "crb"],
+)
+def test_failed_run_keeps_an_earlier_csv(tmp_path, capsys, command, failing, code, passing):
+    """--csv replaces its target only when the command succeeds."""
+    failing = [arg(tmp_path / "scenario.json") if callable(arg) else arg for arg in failing]
+    target = tmp_path / "out" / "keep.csv"
+    target.parent.mkdir()
+    target.write_bytes(b"earlier,run\r\n1,2\r\n")
+    assert main([command, *failing, "--csv", str(target)]) == code
+    assert target.read_bytes() == b"earlier,run\r\n1,2\r\n"
+    assert main([command, *failing, "--csv", str(tmp_path / "out" / "new.csv")]) == code
+    assert sorted(p.name for p in target.parent.iterdir()) == ["keep.csv"]
+    # A successful run over the old file writes what it writes to a new path.
+    fresh = tmp_path / "fresh.csv"
+    assert main([command, *passing, "--csv", str(fresh)]) == 0
+    assert main([command, *passing, "--csv", str(target)]) == 0
+    capsys.readouterr()
+    assert target.read_bytes() == fresh.read_bytes()
+    assert sorted(p.name for p in target.parent.iterdir()) == ["keep.csv"]
+    # The new file gets the mode open() gives one; an existing file keeps its own.
+    with open(tmp_path / "opened.csv", "w"):
+        pass
+    assert fresh.stat().st_mode == (tmp_path / "opened.csv").stat().st_mode
+    target.chmod(0o640)
+    assert main([command, *passing, "--csv", str(target)]) == 0
+    capsys.readouterr()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_csv_writes_into_a_fifo_and_leaves_it_one(tmp_path, capsys):
+    argv = ["sweep", "--scenario", REFERENCE, "--t-list", "0.4,0.9", "--csv"]
+    fresh = tmp_path / "fresh.csv"
+    assert main([*argv, str(fresh)]) == 0
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main([*argv, str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert received == [fresh.read_bytes()]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
 
 
 def test_invalid_json_scenario(tmp_path, capsys):
@@ -307,6 +387,16 @@ def test_schema_error_reports_field(tmp_path, capsys):
         ("theta_guess", [math.nan, 0.0], "theta_guess[0]: expected a finite number"),
         ("t", math.inf, "t: expected a finite number"),
         ("weight", [[1.0, 0.0], [0.0, -1.0]], "weight must be positive definite"),
+        pytest.param(
+            "theta_true", [10**400, 0.5], "theta_true[0]: expected a finite number", id="huge-int"
+        ),
+        pytest.param("t", 10**400, "t: expected a finite number", id="huge-int-t"),
+        pytest.param(
+            "theta_true",
+            [PAST_DIGIT_LIMIT, 0.5],
+            "theta_true[0]: expected a finite number",
+            id="int-past-digit-limit",
+        ),
     ],
 )
 @pytest.mark.parametrize(
@@ -318,7 +408,7 @@ def test_invalid_scenario_numbers_exit_2_before_any_output(
     data = json.loads((SCENARIO_DIR / "reference_qubit.json").read_text())
     data[key] = value
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data).replace(f'"{PAST_DIGIT_LIMIT}"', "9" * 5000))
     assert main([command[0], "--scenario", str(path), *command[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

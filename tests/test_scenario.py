@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qfisher
 from qfisher import (
@@ -18,6 +20,7 @@ from qfisher import (
     scenario_from_dict,
     scenario_to_dict,
 )
+from qfisher.scenario import _array_from_json, _check_nested
 
 from helpers import (
     SIGMA_X,
@@ -165,6 +168,13 @@ def test_bad_entry_rejected_with_its_path(key, index, bad):
         ("initial_state", (0, 0), math.nan),
         ("weight", (1, 1), math.nan),
         ("povm", (2, 1, 0, 0), math.inf),
+        # Integers too large for a float are refused like infinities.
+        pytest.param("theta_true", (0,), 10**400, id="theta_true-huge-int"),
+        pytest.param("t", (), 10**400, id="t-huge-int"),
+        pytest.param("weight", (0, 1), -(10**400), id="weight-huge-negative-int"),
+        pytest.param("povm", (1, 0, 1, 1), 10**400, id="povm-huge-int"),
+        # Past 4300 digits Python's int() refuses the literal outright.
+        pytest.param("t", (), "<5000 digits>", id="t-int-past-digit-limit"),
     ],
 )
 def test_non_finite_number_rejected_with_its_path(tmp_path, key, index, bad):
@@ -178,10 +188,114 @@ def test_non_finite_number_rejected_with_its_path(tmp_path, key, index, bad):
         data[key] = bad
     # Python's json writes and reads NaN and Infinity.
     path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data).replace('"<5000 digits>"', "9" * 5000))
     message = key + "".join(f"[{k}]" for k in index) + ": expected a finite number"
     with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
         load_scenario(path)
+
+
+# The nestings the loader decodes: (shape, pairs).
+LOADER_SHAPES = (((), False), ((3,), False), ((2, 2), False), ((3,), True), ((None, 2, 2), True))
+MUTATIONS = (
+    "bool", "none", "str", "dict", "tuple", "shorter", "longer", "empty",
+    "deeper", "shallower", "float64", "negative-zero", "huge",
+)
+
+
+def mutated(kind, node):
+    """``node`` replaced by one kind of entry the loader must refuse or read exactly."""
+    container = isinstance(node, (list, tuple))
+    if kind == "tuple":  # a tuple below the pair level, or a number boxed in one
+        return tuple(node) if container else (node,)
+    if kind == "shorter":  # ragged, or empty from a one-entry list
+        return list(node)[:-1] if container else []
+    if kind == "longer":
+        return [*node, node[0]] if container and node else [node, node]
+    if kind == "shallower":
+        return node[0] if container and node else node
+    if kind == "float64":
+        return np.float64(node if type(node) is float else 0.25)
+    return {
+        "bool": True,
+        "none": None,
+        "str": "0.5",
+        "dict": {"re": 0.5},
+        "empty": [],
+        "deeper": [node],
+        "negative-zero": -0.0,
+        "huge": -(10**400),
+    }[kind]
+
+
+@st.composite
+def decoder_cases(draw):
+    """A nested value on a loader shape, with up to three mutated entries."""
+    shape, pairs = draw(st.sampled_from(LOADER_SHAPES))
+    dims = tuple(draw(st.integers(1, 3)) if n is None else n for n in shape)
+    dims = dims + (2,) if pairs else dims
+    numbers = st.one_of(st.floats(), st.integers(-(2**70), 2**70))
+
+    def nested(depth):
+        if depth == len(dims):
+            return draw(numbers)
+        items = [nested(depth + 1) for _ in range(dims[depth])]
+        return tuple(items) if pairs and depth == len(dims) - 1 and draw(st.booleans()) else items
+
+    def mutate(node):
+        if isinstance(node, (list, tuple)) and node and draw(st.booleans()):
+            k = draw(st.integers(0, len(node) - 1))
+            return type(node)(mutate(item) if i == k else item for i, item in enumerate(node))
+        return mutated(draw(st.sampled_from(MUTATIONS)), node)
+
+    value = nested(0)
+    for _ in range(draw(st.integers(0, 3))):
+        value = mutate(value)
+    return value, shape, pairs
+
+
+def walker_decode(value, path, shape, pairs):
+    """Reference decoder: the walker, then each leaf in row-major order, then NumPy."""
+    _check_nested(value, path, shape + (2,) if pairs else shape, pairs)
+
+    def leaves(node, where):
+        if isinstance(node, (list, tuple)):
+            for k, item in enumerate(node):
+                yield from leaves(item, f"{where}[{k}]")
+        else:
+            yield node, where
+
+    for leaf, where in leaves(value, path):
+        try:
+            finite = math.isfinite(leaf)
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValidationError(f"{where}: expected a finite number")
+    array = np.array(value, dtype=float)
+    return array.view(complex)[..., 0] if pairs else array
+
+
+def decoded(decode, value, shape, pairs):
+    try:
+        array = decode(value, "field", shape, pairs)
+    except ValidationError as exc:
+        return str(exc)
+    return array.shape, array.dtype.str, array.tobytes()
+
+
+@settings(deadline=None, derandomize=True, max_examples=400)
+@given(decoder_cases())
+@example(([0.5, True, 0.25], (3,), False))
+@example(([[0.5, -0.0], (0.0, -0.0), [1, 2]], (3,), True))
+@example(([np.float64(0.5), 10**400, math.nan], (3,), False))
+@example((([0.5, 0.0], (1, 0), [0.0, 1.0]), (3,), True))
+@example(([[[[1.0, 0.0], [0.0, 0.0]], [(0.0, 0.0), [1.0, -0.0]]]], (None, 2, 2), True))
+def test_decoder_matches_the_walker(case):
+    """Level-at-a-time decoding gives the walker's array bit for bit, or its message."""
+    value, shape, pairs = case
+    assert decoded(_array_from_json, value, shape, pairs) == decoded(
+        walker_decode, value, shape, pairs
+    )
 
 
 @pytest.mark.parametrize(
