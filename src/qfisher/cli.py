@@ -363,8 +363,6 @@ def cmd_crb(args) -> int:
     ]
     if missing:
         raise ValidationError(f"scenario lacks fields needed by crb: {', '.join(missing)}")
-    if args.batches < 2:
-        raise ValidationError(f"--batches must be >= 2, got {args.batches}")
     with _open_csv(args.csv) as handle:
         study = run_crb_study(
             circuit,

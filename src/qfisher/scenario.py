@@ -64,55 +64,10 @@ def _int_from_json(value, path: str, minimum: int, limit: int | None = None) -> 
     return value
 
 
-def _check_nested(value, path: str, dims: tuple, pairs: bool) -> None:
-    """Raise ValidationError at the first entry of ``value`` off ``dims``."""
-    if not dims:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            _fail(path, f"expected a number, got {value!r}")
-        return
-    is_pair = pairs and len(dims) == 1
-    if not isinstance(value, (list, tuple) if is_pair else list) or (
-        len(value) != dims[0] if dims[0] else not value
-    ):
-        if is_pair:
-            _fail(path, f"complex entries must be [re, im] pairs, got {value!r}")
-        _fail(path, f"expected a list of {dims[0] or 'one or more'} entries")
-    for k, item in enumerate(value):
-        _check_nested(item, f"{path}[{k}]", dims[1:], pairs)
-
-
-def _plain_leaves(value, dims: tuple, pairs: bool):
-    """``(leaves, shape)`` if ``value`` nests to ``dims`` in plain JSON types, else None.
-
-    Checks one nesting level at a time, with no call per entry: every
-    container a list (a tuple is also taken at the pair level), one exact
-    length per level and every leaf exactly a float or an int. Whatever
-    else it meets, even what ``_check_nested`` would take, returns None.
-    """
-    level, shape = [value], []
-    for depth, size in enumerate(dims):
-        containers = {list, tuple} if pairs and depth == len(dims) - 1 else {list}
-        if not set(map(type, level)) <= containers:
-            return None
-        lengths = set(map(len, level))
-        if len(lengths) != 1:
-            return None
-        (length,) = lengths
-        if length != size if size else not length:
-            return None
-        shape.append(length)
-        level = list(chain.from_iterable(level))
-    if not set(map(type, level)) <= {float, int}:
-        return None
-    return level, tuple(shape)
-
-
-def _huge_as_inf(value):
-    """``value`` with every number too large for a float read as infinity."""
-    if isinstance(value, (list, tuple)):
-        return [_huge_as_inf(item) for item in value]
+def _float_or_inf(number) -> float:
+    """``number`` as a float, or infinity if it is too large for one."""
     try:
-        return float(value)
+        return float(number)
     except OverflowError:
         return math.inf
 
@@ -121,24 +76,60 @@ def _array_from_json(value, path: str, shape: tuple, pairs: bool = False) -> np.
     """Decode numbers, or [re, im] pairs if ``pairs``, nested to ``shape``.
 
     A None in ``shape`` takes any nonzero length. Errors name the path of
-    the first entry off shape, not a number, or not finite (an integer too
-    large for a float counts as infinite). Pairs are read through a
-    complex128 view, which keeps the sign of every zero.
+    the first entry in file order that is off shape or not a number, else
+    of the first number that is not finite (an integer too large for a
+    float counts as infinite). Pairs are read through a complex128 view,
+    which keeps the sign of every zero.
+
+    Each nesting level is checked at once by its types and lengths. A level
+    that fails is scanned for its first misfit, and only the entries before
+    it go down a level: a misfit under them comes earlier in the file.
     """
     dims = shape + (2,) if pairs else shape
-    plain = _plain_leaves(value, dims, pairs)
-    if plain is None:
-        _check_nested(value, path, dims, pairs)
-    numbers, found = plain or (value, None)
+    level, lengths, error = [value], [], None
+
+    def at(k) -> str:
+        return path + "".join(f"[{i}]" for i in np.unravel_index(k, lengths))
+
+    def keep_until_misfit(fits, message) -> None:
+        nonlocal level, error
+        for k, node in enumerate(level):
+            if not fits(node):
+                error, level = (at(k), message(node)), level[:k]
+                return
+
+    for depth, size in enumerate(dims):
+        is_pair = pairs and depth == len(dims) - 1
+        kinds = (list, tuple) if is_pair else (list,)
+
+        def fits(node):
+            return isinstance(node, kinds) and (len(node) == size if size else len(node) > 0)
+
+        uniform = set(map(type, level)) <= set(kinds) and len(set(map(len, level))) == 1
+        if not (uniform and fits(level[0])):
+            keep_until_misfit(
+                fits,
+                lambda node: f"complex entries must be [re, im] pairs, got {node!r}"
+                if is_pair
+                else f"expected a list of {size or 'one or more'} entries",
+            )
+        lengths.append(len(level[0]) if level else 0)
+        level = list(chain.from_iterable(level))
+    if not set(map(type, level)) <= {float, int}:
+        keep_until_misfit(
+            lambda leaf: isinstance(leaf, (int, float)) and not isinstance(leaf, bool),
+            lambda leaf: f"expected a number, got {leaf!r}",
+        )
+    if error is not None:
+        _fail(*error)
     try:
-        array = np.array(numbers, dtype=float)
+        array = np.array(level, dtype=float)
     except OverflowError:
-        array = np.array(_huge_as_inf(numbers), dtype=float)
-    if found is not None:
-        array = array.reshape(found)
-    bad = np.argwhere(~np.isfinite(array))
+        array = np.array([_float_or_inf(leaf) for leaf in level])
+    bad = np.flatnonzero(~np.isfinite(array))
     if len(bad):
-        _fail(path + "".join(f"[{k}]" for k in bad[0]), "expected a finite number")
+        _fail(at(bad[0]), "expected a finite number")
+    array = array.reshape(lengths)
     return array.view(complex)[..., 0] if pairs else array
 
 
@@ -230,11 +221,15 @@ def load_scenario(path) -> ScenarioConfig:
     """Read and validate a scenario JSON file.
 
     Missing files and malformed JSON raise the underlying errors so
-    callers can map them to exit codes; schema problems raise
-    ValidationError with the field path.
+    callers can map them to exit codes; nesting too deep for the JSON
+    reader and schema problems raise ValidationError, the latter with the
+    field path.
     """
     with open(path, encoding="utf-8") as handle:
-        data = json.load(handle, parse_int=_parse_int)
+        try:
+            data = json.load(handle, parse_int=_parse_int)
+        except RecursionError:
+            raise ValidationError("scenario is nested too deeply to parse") from None
     return scenario_from_dict(data)
 
 

@@ -263,9 +263,16 @@ def test_crb_requires_sampling_fields(capsys):
     assert "povm" in err and "trials" in err and "seed" in err
 
 
-def test_crb_rejects_too_few_batches(capsys):
+def test_crb_rejects_too_few_batches(tmp_path, capsys):
     assert main(["crb", "--scenario", SINGLE, "--batches", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: batches must be an integer >= 2, got 1\n"
+    # The library refuses the count inside the --csv block, which leaves no file.
+    path = tmp_path / "new.csv"
+    assert main(["crb", "--scenario", SINGLE, "--batches", "1", "--csv", str(path)]) == 2
     capsys.readouterr()
+    assert not path.exists()
 
 
 def test_crb_refuses_huge_trials_but_qfim_runs(tmp_path, capsys):
@@ -281,16 +288,20 @@ def test_crb_refuses_huge_trials_but_qfim_runs(tmp_path, capsys):
 
 
 def test_missing_scenario_file(tmp_path, capsys):
-    # a missing file, a directory, non-UTF-8 bytes and a directory as --csv
-    # are all unreadable input: exit 2 with an error line, no traceback. The
-    # --csv target is checked before any computation, so nothing is printed.
+    # a missing file, a directory, non-UTF-8 bytes, nesting too deep to parse
+    # and a directory as --csv are all unreadable input: exit 2 with an error
+    # line, no traceback. The --csv target is checked before any computation,
+    # so nothing is printed.
     not_utf8 = tmp_path / "latin1.json"
     not_utf8.write_bytes(b'{"name": "\xff"}')
+    deep = tmp_path / "deep.json"
+    deep.write_text('{"generators": ' + "[" * 100_000 + "]" * 100_000 + "}")
     absent = tmp_path / "no-such-dir" / "out.csv"
     for argv in (
         ["qfim", "--scenario", "no-such-file.json"],
         ["qfim", "--scenario", str(tmp_path)],
         ["qfim", "--scenario", str(not_utf8)],
+        ["qfim", "--scenario", str(deep)],
         ["qfim", "--scenario", REFERENCE, "--csv", str(tmp_path)],
         ["crb", "--scenario", SINGLE, "--batches", "5", "--csv", str(tmp_path)],
         ["sweep", "--scenario", REFERENCE, "--t-list", "0.5", "--csv", str(tmp_path)],

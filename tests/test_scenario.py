@@ -20,7 +20,7 @@ from qfisher import (
     scenario_from_dict,
     scenario_to_dict,
 )
-from qfisher.scenario import _array_from_json, _check_nested
+from qfisher.scenario import _array_from_json
 
 from helpers import (
     SIGMA_X,
@@ -253,9 +253,26 @@ def decoder_cases(draw):
     return value, shape, pairs
 
 
+def check_nested(value, path, dims, pairs):
+    """Raise ValidationError at the first entry of ``value``, depth first, off ``dims``."""
+    if not dims:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ValidationError(f"{path}: expected a number, got {value!r}")
+        return
+    is_pair = pairs and len(dims) == 1
+    if not isinstance(value, (list, tuple) if is_pair else list) or (
+        len(value) != dims[0] if dims[0] else not value
+    ):
+        if is_pair:
+            raise ValidationError(f"{path}: complex entries must be [re, im] pairs, got {value!r}")
+        raise ValidationError(f"{path}: expected a list of {dims[0] or 'one or more'} entries")
+    for k, item in enumerate(value):
+        check_nested(item, f"{path}[{k}]", dims[1:], pairs)
+
+
 def walker_decode(value, path, shape, pairs):
-    """Reference decoder: the walker, then each leaf in row-major order, then NumPy."""
-    _check_nested(value, path, shape + (2,) if pairs else shape, pairs)
+    """Reference decoder: a recursive walk, then each leaf in row-major order, then NumPy."""
+    check_nested(value, path, shape + (2,) if pairs else shape, pairs)
 
     def leaves(node, where):
         if isinstance(node, (list, tuple)):
@@ -289,13 +306,27 @@ def decoded(decode, value, shape, pairs):
 @example(([[0.5, -0.0], (0.0, -0.0), [1, 2]], (3,), True))
 @example(([np.float64(0.5), 10**400, math.nan], (3,), False))
 @example((([0.5, 0.0], (1, 0), [0.0, 1.0]), (3,), True))
+# Depth first names field[0][1]; shallowest first would name field[1].
+@example(([[0.5, "x"], [0.5]], (2, 2), False))
 @example(([[[[1.0, 0.0], [0.0, 0.0]], [(0.0, 0.0), [1.0, -0.0]]]], (None, 2, 2), True))
 def test_decoder_matches_the_walker(case):
-    """Level-at-a-time decoding gives the walker's array bit for bit, or its message."""
+    """Level-at-a-time decoding gives the recursive walker's array bit for bit, or its message."""
     value, shape, pairs = case
     assert decoded(_array_from_json, value, shape, pairs) == decoded(
         walker_decode, value, shape, pairs
     )
+
+
+def test_first_bad_entry_in_file_order_is_named(tmp_path):
+    """Of two bad generator entries the earlier one is named, though it lies deeper."""
+    data = scenario_to_dict(minimal_config())
+    data["generators"][0][0][1] = [1.0]
+    data["generators"][1] = data["generators"][1][:1]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(data))
+    message = "generators[0][0][1]: complex entries must be [re, im] pairs, got [1.0]"
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        load_scenario(path)
 
 
 @pytest.mark.parametrize(
@@ -402,6 +433,13 @@ def test_load_errors_pass_through(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(json.JSONDecodeError):
         load_scenario(bad)
+
+
+def test_too_deeply_nested_scenario_rejected(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"generators": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    with pytest.raises(ValidationError, match="^scenario is nested too deeply to parse$"):
+        load_scenario(path)
 
 
 def test_equality_detects_array_changes():
