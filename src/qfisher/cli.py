@@ -79,22 +79,26 @@ def _scenario_circuit(args) -> tuple[ScenarioConfig, EncodingCircuit]:
 
 
 @contextlib.contextmanager
-def _open_csv(path, default=None):
-    """Yield a buffer for the --csv target, or ``default`` without one.
+def _open_csv(path, columns, default=None):
+    """Yield a CSV writer, header written, whose table goes to ``path`` (or
+    ``default`` without one) only when the block ends without raising.
 
-    The target is opened before any computation, so a bad path fails fast,
-    but for appending, so a run that fails leaves an earlier file as it was
-    (and removes a file it created). The buffer replaces the file's
-    contents only when the block ends without raising.
+    The path is opened before any computation, so a bad one fails fast, but
+    for appending, so a failed run leaves an earlier file as it was (and
+    removes a file it created).
     """
-    if not path:
-        yield default
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(columns)
+    if path is None:
+        yield writer
+        if default is not None:
+            default.write(buffer.getvalue())
         return
     created = not os.path.lexists(path)
     with open(path, "a", newline="", encoding="utf-8") as target:
-        buffer = io.StringIO(newline="")
         try:
-            yield buffer
+            yield writer
         except BaseException:
             if created:
                 os.unlink(path)
@@ -114,19 +118,15 @@ def _risk_line(label: str, bracket, trials: int) -> None:
 
 def cmd_qfim(args) -> int:
     config, circuit = _scenario_circuit(args)
-    with _open_csv(args.csv) as handle:
+    with _open_csv(args.csv, ("i", "j", "qfim", "uhlmann")) as writer:
         tensor = geometric_tensor(circuit, config.theta_true)
         qfim = qfim_from_tensor(tensor)
         curvature = curvature_from_tensor(tensor)
         print_vector("theta_true", config.theta_true)
         print_matrix("qfim", qfim)
         print_matrix("uhlmann_curvature", curvature)
-        if handle is not None:
-            writer = csv.writer(handle)
-            writer.writerow(["i", "j", "qfim", "uhlmann"])
-            for i in range(circuit.n_params):
-                for j in range(circuit.n_params):
-                    writer.writerow([i, j, fmt_csv(qfim[i, j]), fmt_csv(curvature[i, j])])
+        for (i, j), entry in np.ndenumerate(qfim):
+            writer.writerow([i, j, fmt_csv(entry), fmt_csv(curvature[i, j])])
         # Both of these need the inverse QFIM; a singular matrix aborts with
         # exit code 3 after the matrices above have been shown.
         print(f"geometric_quantumness: {fmt(geometric_quantumness(qfim, curvature))}")
@@ -208,7 +208,7 @@ def _parse_t_list(raw: str) -> list[float]:
 
 
 def _sweep_rows(config: ScenarioConfig, circuit: EncodingCircuit, t_values, trials: int) -> list:
-    """One CSV row per transmissivity; a point that fails becomes a warning line."""
+    """One CSV row per transmissivity; a point that fails becomes a warning."""
     rows = []
     for t in t_values:
         try:
@@ -216,7 +216,7 @@ def _sweep_rows(config: ScenarioConfig, circuit: EncodingCircuit, t_values, tria
                 circuit, config.theta_true, config.theta_guess, t, config.weight, trials
             )
         except (ValidationError, NumericError) as exc:
-            print(f"warning: t={fmt(t)}: {exc}", file=sys.stderr)
+            warnings.warn(f"t={fmt(t)}: {exc}")
             continue
         lower, upper = report.risk_after or (math.nan, math.nan)
         rows.append(
@@ -238,17 +238,11 @@ def cmd_sweep(args) -> int:
     config, circuit = _scenario_circuit(args)
     t_values = _parse_t_list(args.t_list)
     trials = 1 if config.trials is None else config.trials
-    try:
-        with _open_csv(args.csv, sys.stdout) as handle:
-            rows = _sweep_rows(config, circuit, t_values, trials)
-            if not rows:
-                raise NumericError("every sweep point failed")
-            writer = csv.writer(handle)
-            writer.writerow(_SWEEP_COLUMNS)
-            writer.writerows(rows)
-    except NumericError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    with _open_csv(args.csv, _SWEEP_COLUMNS, sys.stdout) as writer:
+        rows = _sweep_rows(config, circuit, t_values, trials)
+        if not rows:
+            raise NumericError("every sweep point failed")
+        writer.writerows(rows)
     return 0
 
 
@@ -363,7 +357,8 @@ def cmd_crb(args) -> int:
     ]
     if missing:
         raise ValidationError(f"scenario lacks fields needed by crb: {', '.join(missing)}")
-    with _open_csv(args.csv) as handle:
+    columns = ["batch", "seed"] + [f"estimate_{m}" for m in range(circuit.n_params)]
+    with _open_csv(args.csv, columns) as writer:
         study = run_crb_study(
             circuit,
             config.theta_true,
@@ -379,15 +374,8 @@ def cmd_crb(args) -> int:
         print_matrix("crb_bound", study.comparison.bound)
         print_matrix("empirical_cov", study.comparison.empirical_cov)
         print(f"slack: {fmt(study.comparison.slack)}")
-        if handle is not None:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["batch", "seed"] + [f"estimate_{m}" for m in range(circuit.n_params)]
-            )
-            for k, estimate in enumerate(study.estimates):
-                writer.writerow(
-                    [k, study.master_seed + k] + [fmt_csv(v) for v in estimate]
-                )
+        for k, estimate in enumerate(study.estimates):
+            writer.writerow([k, study.master_seed + k] + [fmt_csv(v) for v in estimate])
     return 0
 
 
@@ -436,29 +424,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; Python warnings it raises become ``warning:`` lines on stderr."""
+    """Run one command, then print its warnings and its error line, if any, to stderr."""
     parser = build_parser()
     args = parser.parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code = _run(args)
-    for item in caught:
-        print(f"warning: {item.message}", file=sys.stderr)
+        code, error = _run(args)
+    tail = [] if error is None else [error]
+    for line in [f"warning: {item.message}" for item in caught] + tail:
+        print(line, file=sys.stderr)
     return code
 
 
-def _run(args) -> int:
+def _run(args) -> tuple[int, str | None]:
     try:
-        return args.func(args)
+        return args.func(args), None
     except (ValidationError, OSError, UnicodeDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2, f"error: {exc}"
     except json.JSONDecodeError as exc:
-        print(f"error: scenario is not valid JSON: {exc}", file=sys.stderr)
-        return 2
+        return 2, f"error: scenario is not valid JSON: {exc}"
     except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 3
+        return 3, f"numeric error: {exc}"
 
 
 def entrypoint() -> None:

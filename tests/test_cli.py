@@ -166,9 +166,20 @@ def test_sweep_risk_columns_come_from_the_bracket(monkeypatch, capsys):
     assert [(row["risk_lower"], row["risk_upper"]) for row in rows] == [("1", "3")]
 
 
-def test_sweep_all_failures_exit_3(capsys):
-    assert main(["sweep", "--scenario", REFERENCE, "--t-list", "2.0,3.0"]) == 3
-    assert "every sweep point failed" in capsys.readouterr().err
+def test_sweep_all_failures_exit_3(tmp_path, capsys):
+    argv = ["sweep", "--scenario", REFERENCE, "--t-list", "2.0,3.0"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 3
+    assert lines[0].startswith("warning: t=2: ") and lines[1].startswith("warning: t=3: ")
+    assert lines[2] == "numeric error: every sweep point failed"
+    target = tmp_path / "keep.csv"
+    target.write_bytes(b"earlier,run\r\n1,2\r\n")
+    assert main([*argv, "--csv", str(target)]) == 3
+    assert capsys.readouterr().err.splitlines() == lines
+    assert target.read_bytes() == b"earlier,run\r\n1,2\r\n"
 
 
 def test_sweep_bad_t_list(capsys):
@@ -312,6 +323,23 @@ def test_missing_scenario_file(tmp_path, capsys):
         assert "error" in captured.err
         assert captured.out == ""
     assert repr(str(absent)) in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["qfim", "--scenario", REFERENCE],
+        ["sweep", "--scenario", REFERENCE, "--t-list", "0.5"],
+        ["crb", "--scenario", SINGLE, "--batches", "5"],
+    ],
+    ids=["qfim", "sweep", "crb"],
+)
+def test_empty_csv_path_exits_2_before_any_output(capsys, argv):
+    # An empty path is a path open() refuses, not a missing --csv.
+    assert main([*argv, "--csv", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
 
 
 @pytest.mark.parametrize(

@@ -236,6 +236,18 @@ def test_run_crb_study_validates_povm_at_most_twice(monkeypatch):
     assert 1 <= len(calls) <= 2
 
 
+def test_run_crb_study_returns_no_checked_povm_arrays():
+    # The checked-stack marker is an ndarray subclass, and arithmetic keeps
+    # it: checked * 5 would skip validation though it sums to 5 I. So the
+    # marker must never leave the study; every array handed back is plain.
+    study = run_crb_study(reference_circuit(), [0.3, 0.8], sic_povm(), 1000, 5, 11)
+    arrays = [study.estimates, study.comparison.bound, study.comparison.empirical_cov]
+    arrays += [batch.counts for batch in study.batches]
+    assert not any(isinstance(a, qfisher.fisher._CheckedPovm) for a in arrays)
+    checked = qfisher.fisher.validate_povm(Z_BASIS).view(qfisher.fisher._CheckedPovm)
+    assert isinstance(checked * 5, qfisher.fisher._CheckedPovm)
+
+
 def test_search_radius_accepts_numpy_integers():
     circuit = reference_circuit()
     args = (circuit, [0.3, 0.8], sic_povm(), 2000, 5, 500)
