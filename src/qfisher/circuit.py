@@ -2,7 +2,9 @@
 
 A circuit applies exp(i*theta[0]*A_0) to the initial state first, then
 exp(i*theta[1]*A_1), and so on: generators are given in application
-order. Parameter indices are 0-based throughout the package.
+order. Parameter indices are 0-based throughout the package. The checks
+of integer, parameter-pair and real-number inputs live here too, so every
+module and the scenario loader apply one rule to each kind of input.
 """
 
 from __future__ import annotations
@@ -88,12 +90,33 @@ def as_param_vector(circuit: EncodingCircuit, theta, name: str = "theta") -> np.
     return values
 
 
-def _check_index(index, n_params: int) -> int:
-    if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
-        raise ValidationError(f"parameter index must be an integer, got {index!r}")
-    if not 0 <= index < n_params:
-        raise ValidationError(f"parameter index {index} out of range [0, {n_params})")
-    return int(index)
+def _check_int(value, name: str, low: int, high: float | None = None) -> int:
+    """An integer, not a bool, in [low, high], or at least ``low`` when ``high`` is None."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+    if high is not None and value > high:
+        raise ValidationError(f"{name} must be at most {high}, got {value}")
+    return int(value)
+
+
+def _check_pair(pair, name: str, n_params: int) -> tuple[int, int]:
+    """Two parameter indices, each an integer in [0, n_params)."""
+    try:
+        first, second = pair
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{name} must hold two parameter indices, got {pair!r}") from exc
+    last = n_params - 1
+    return _check_int(first, f"{name}[0]", 0, last), _check_int(second, f"{name}[1]", 0, last)
+
+
+def _check_real(value, name: str) -> float:
+    """A real number, not a bool, as a float; an integer too large for one is +-inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        return np.inf if value > 0 else -np.inf
 
 
 def _sweep(circuit: EncodingCircuit, values, coords: np.ndarray, start: int, stop: int):

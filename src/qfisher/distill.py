@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import STATE_NORM_TOL, EncodingCircuit, as_param_vector, evolve, tangent_frame
+from .circuit import STATE_NORM_TOL, EncodingCircuit, _check_real, as_param_vector, evolve
+from .circuit import tangent_frame
 from .errors import NumericError, ValidationError
 from .fisher import (
     _check_success_prob,
@@ -50,14 +51,12 @@ class DistillationPlan:
         return (t * t - 1.0) * np.outer(g, g.conj()) + np.eye(g.size)
 
 
-def _check_transmissivity(t) -> float:
-    if isinstance(t, bool) or not isinstance(t, (int, float, np.floating, np.integer)):
-        raise ValidationError(f"transmissivity must be a real number, got {t!r}")
-    t = float(t)
-    if not np.isfinite(t) or not 0.0 < t <= 1.0:
-        raise ValidationError(f"transmissivity must lie in (0, 1], got {t}")
+def _check_transmissivity(t, name: str = "transmissivity") -> float:
+    t = _check_real(t, name)
+    if not 0.0 < t <= 1.0:
+        raise ValidationError(f"{name} must lie in (0, 1], got {t}")
     if t * t < np.finfo(float).tiny:
-        raise ValidationError(f"transmissivity {t} is too small: t^2 underflows a normal float")
+        raise ValidationError(f"{name} {t} is too small: t^2 underflows a normal float")
     return t
 
 

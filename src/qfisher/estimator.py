@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, _sweep, as_param_vector, evolve
+from .circuit import EncodingCircuit, _check_int, _check_real, _sweep, as_param_vector, evolve
 from .errors import NumericError, ValidationError
-from .fisher import PROBABILITY_FLOOR, _CheckedPovm, _effects, _outcome_slopes
-from .fisher import _check_count, classical_fim, validate_povm
+from .fisher import MAX_FLOAT_TRIALS, PROBABILITY_FLOOR, _CheckedPovm, _effects
+from .fisher import _outcome_slopes, classical_fim, validate_povm
 from .linalg import invert
 
 # Fisher-scoring iterations after which a fit counts as non-convergent.
@@ -60,10 +60,8 @@ def sample_outcomes(probs, trials, seed) -> SampleBatch:
         raise ValidationError("probs must be finite and non-negative")
     if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"probs sum to {float(probs.sum()):.12g}, expected 1")
-    trials = _check_count(trials, "trials")
-    if trials > MAX_TRIALS:
-        raise ValidationError(f"trials must be at most {MAX_TRIALS}, got {trials}")
-    seed = _check_count(seed, "seed", 0)
+    trials = _check_int(trials, "trials", 1, MAX_TRIALS)
+    seed = _check_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     draws = rng.random(trials)
     edges = np.cumsum(probs)
@@ -103,11 +101,7 @@ def mle_fit(
     """
     effects = _effects(povm, circuit.dim)
     theta = as_param_vector(circuit, theta_init, "theta_init").copy()
-    if isinstance(search_radius, bool) or not isinstance(
-        search_radius, (int, float, np.floating, np.integer)
-    ):
-        raise ValidationError(f"search_radius must be a positive number, got {search_radius!r}")
-    radius = float(search_radius)
+    radius = _check_real(search_radius, "search_radius")
     if not np.isfinite(radius) or radius <= 0.0:
         raise ValidationError(f"search_radius must be positive and finite, got {radius}")
     if not isinstance(batch, SampleBatch):
@@ -190,7 +184,7 @@ def crb_comparison(
     covariance is taken about the batch mean with one delta degree of
     freedom, and the bound is [trials * classical_fim]^-1.
     """
-    trials = _check_count(trials, "trials")
+    trials = _check_int(trials, "trials", 1, MAX_FLOAT_TRIALS)
     theta_true = as_param_vector(circuit, theta_true, "theta_true")
     stacked = np.asarray(estimates, dtype=float)
     if stacked.ndim != 2 or stacked.shape[1] != circuit.n_params:
@@ -236,9 +230,9 @@ def run_crb_study(
     edge are counted in one RuntimeWarning.
     """
     theta_true = as_param_vector(circuit, theta_true, "theta_true")
-    trials = _check_count(trials, "trials")
-    master_seed = _check_count(master_seed, "master_seed", 0)
-    n_batches = _check_count(batches, "batches", 2)
+    trials = _check_int(trials, "trials", 1, MAX_TRIALS)
+    master_seed = _check_int(master_seed, "master_seed", 0)
+    n_batches = _check_int(batches, "batches", 2)
     init = theta_true if theta_init is None else as_param_vector(circuit, theta_init, "theta_init")
     # One validation: the probabilities, the fits and the bound reuse the stack.
     povm = validate_povm(povm, circuit.dim).view(_CheckedPovm)

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 
-from .circuit import EncodingCircuit, as_param_vector, tangent_frame
+from .circuit import EncodingCircuit, _check_int, tangent_frame
 from .errors import NumericError, ValidationError
 from .linalg import DEFAULT_TOL, as_square_matrix, invert, require_hermitian, spectral_radius
 
@@ -30,6 +30,8 @@ QFIM_SYMMETRY_TOL = 1e-9
 QFIM_PSD_RTOL = 1e-9
 # Slack allowed above 1 for the geometric quantumness.
 QUANTUMNESS_TOL = 1e-9
+# Largest trial count: risk brackets divide by it as a float.
+MAX_FLOAT_TRIALS = float(np.finfo(float).max)
 
 
 class DivergentInformationWarning(RuntimeWarning):
@@ -43,7 +45,7 @@ def require_effect(effect, dim: int | None = None, name: str = "effect") -> np.n
     Returns the symmetrized copy.
     """
     mat = require_hermitian(effect, name, rtol=DEFAULT_TOL)
-    if dim is not None and mat.shape[0] != dim:
+    if dim is not None and mat.shape[0] != _check_int(dim, "dim", 1):
         raise ValidationError(f"{name} has dimension {mat.shape[0]}, expected {dim}")
     lowest = float(np.linalg.eigvalsh(mat)[0])
     scale = max(1.0, float(np.max(np.abs(mat))))
@@ -210,13 +212,6 @@ def _validate_weight(weight, size: int) -> np.ndarray:
     return (mat + mat.T) / 2.0
 
 
-def _check_count(value, name: str, minimum: int = 1) -> int:
-    """An integer (not a bool) of at least ``minimum``: a trial, batch or seed count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return int(value)
-
-
 def learnability_interval(fim, weight=None, trials: int = 1) -> tuple[float, float]:
     """Two-sided bracket on the best achievable risk for a pure state.
 
@@ -228,7 +223,7 @@ def learnability_interval(fim, weight=None, trials: int = 1) -> tuple[float, flo
     """
     mat = np.real(as_square_matrix(fim, "fim"))
     weight_mat = _validate_weight(weight, mat.shape[0])
-    trials = _check_count(trials, "trials")
+    trials = _check_int(trials, "trials", 1, MAX_FLOAT_TRIALS)
     lower = float(np.trace(weight_mat @ np.real(invert(mat)))) / trials
     return (lower, 2.0 * lower)
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, _check_index, _sweep, as_param_vector
-from .errors import NumericError, ValidationError
+from .circuit import EncodingCircuit, _check_pair, _sweep, as_param_vector
+from .errors import NumericError
 from .fisher import _check_success_prob, require_effect
 
 # Adjacent eigenvalues no farther apart than this fraction of the
@@ -52,14 +52,6 @@ def _clusters(eigenvalues: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     starts = np.flatnonzero(first)
     means = np.add.reduceat(eigenvalues, starts) / np.diff(np.append(starts, eigenvalues.size))
     return means, np.cumsum(first) - 1, float(means[-1] - means[0])
-
-
-def _check_pair(pair, n_params: int) -> tuple[int, int]:
-    try:
-        first, second = pair
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"pair must hold two parameter indices, got {pair!r}") from exc
-    return _check_index(first, n_params), _check_index(second, n_params)
 
 
 @dataclass(frozen=True)
@@ -100,7 +92,7 @@ def kd_distribution(circuit: EncodingCircuit, theta, pair, effect) -> KdDistribu
     is O(M D^2 (K + L)) plus the product of F with the D x L block.
     """
     theta = as_param_vector(circuit, theta)
-    first, second = _check_pair(pair, circuit.n_params)
+    first, second = _check_pair(pair, "pair", circuit.n_params)
     mat = require_effect(effect, circuit.dim)
     coords, start, sides = circuit._entry, 0, {}
     for m in sorted({first, second}):

@@ -16,9 +16,10 @@ from itertools import chain
 
 import numpy as np
 
-from .circuit import EncodingCircuit
+from .circuit import EncodingCircuit, _check_int, _check_pair, _check_real
+from .distill import _check_transmissivity
 from .errors import ValidationError
-from .fisher import _validate_weight, validate_povm
+from .fisher import MAX_FLOAT_TRIALS, _validate_weight, validate_povm
 
 _REQUIRED_KEYS = ("dim", "generators", "initial_state", "theta_true", "theta_guess", "t")
 _OPTIONAL_KEYS = ("weight", "kd_pair", "povm", "trials", "seed")
@@ -52,24 +53,6 @@ class ScenarioConfig:
 
 def _fail(path: str, message: str):
     raise ValidationError(f"{path}: {message}")
-
-
-def _int_from_json(value, path: str, minimum: int, limit: int | None = None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, f"expected an integer, got {value!r}")
-    if value < minimum:
-        _fail(path, f"must be >= {minimum}, got {value}")
-    if limit is not None and value >= limit:
-        _fail(path, f"index {value} out of range [{minimum}, {limit})")
-    return value
-
-
-def _float_or_inf(number) -> float:
-    """``number`` as a float, or infinity if it is too large for one."""
-    try:
-        return float(number)
-    except OverflowError:
-        return math.inf
 
 
 def _array_from_json(value, path: str, shape: tuple, pairs: bool = False) -> np.ndarray:
@@ -125,7 +108,7 @@ def _array_from_json(value, path: str, shape: tuple, pairs: bool = False) -> np.
     try:
         array = np.array(level, dtype=float)
     except OverflowError:
-        array = np.array([_float_or_inf(leaf) for leaf in level])
+        array = np.array([_check_real(leaf, path) for leaf in level])
     bad = np.flatnonzero(~np.isfinite(array))
     if len(bad):
         _fail(at(bad[0]), "expected a finite number")
@@ -156,31 +139,23 @@ def scenario_from_dict(data) -> ScenarioConfig:
         value = data.get(key)
         return None if value is None and key in _OPTIONAL_KEYS else decode(value, key, *args)
 
-    dim = field("dim", _int_from_json, 1)
+    dim = field("dim", _check_int, 1)
     generators = tuple(field("generators", _array_from_json, (None, dim, dim), True))
     n_params = len(generators)
     initial_state = field("initial_state", _array_from_json, (dim,), True)
     theta_true = field("theta_true", _array_from_json, (n_params,))
     theta_guess = field("theta_guess", _array_from_json, (n_params,))
-    t = float(field("t", _array_from_json, ()))
-    if not 0.0 < t <= 1.0:
-        _fail("t", f"must lie in (0, 1], got {t}")
+    t = _check_transmissivity(float(field("t", _array_from_json, ())), "t")
     weight = field("weight", _array_from_json, (n_params, n_params))
     if weight is not None:
         _validate_weight(weight, n_params)
-    kd_pair = data.get("kd_pair")
-    if kd_pair is not None:
-        if not isinstance(kd_pair, list) or len(kd_pair) != 2:
-            _fail("kd_pair", f"expected two parameter indices, got {kd_pair!r}")
-        kd_pair = tuple(
-            _int_from_json(v, f"kd_pair[{k}]", 0, n_params) for k, v in enumerate(kd_pair)
-        )
+    kd_pair = field("kd_pair", _check_pair, n_params)
     povm = field("povm", _array_from_json, (None, dim, dim), True)
     if povm is not None:
         validate_povm(povm, dim)
         povm = tuple(povm)
-    trials = field("trials", _int_from_json, 1)
-    seed = field("seed", _int_from_json, 0)
+    trials = field("trials", _check_int, 1, MAX_FLOAT_TRIALS)
+    seed = field("seed", _check_int, 0)
     return ScenarioConfig(
         dim, generators, initial_state, theta_true, theta_guess, t,
         weight, kd_pair, povm, trials, seed,

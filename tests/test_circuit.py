@@ -16,7 +16,7 @@ from qfisher import (
 )
 from qfisher import circuit as circuit_module
 from qfisher import linalg
-from qfisher.circuit import _check_index
+from qfisher.circuit import _check_int
 
 from helpers import (
     SIGMA_X,
@@ -177,12 +177,12 @@ def test_tilde_generator_preserves_spectrum():
 
 
 def test_index_validation():
-    # every per-parameter entry point checks its index through _check_index
-    assert _check_index(0, 1) == 0
-    assert type(_check_index(np.int64(2), 3)) is int
+    # the KD pair check reads each parameter index through _check_int
+    assert _check_int(0, "index", 0, 0) == 0
+    assert type(_check_int(np.int64(2), "index", 0, 2)) is int
     for bad in (1, -1, True, 0.0):
         with pytest.raises(ValidationError):
-            _check_index(bad, 1)
+            _check_int(bad, "index", 0, 0)
 
 
 def _gate_unitary(generator, angle):

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import stat
+import sys
 import threading
 from pathlib import Path
 
@@ -417,7 +418,7 @@ def test_schema_error_reports_field(tmp_path, capsys):
     path = tmp_path / "bad_t.json"
     path.write_text(json.dumps(data))
     assert main(["qfim", "--scenario", str(path)]) == 2
-    assert "t:" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: t must lie in (0, 1], got 2.0\n"
 
 
 @pytest.mark.parametrize(
@@ -436,10 +437,20 @@ def test_schema_error_reports_field(tmp_path, capsys):
             "theta_true[0]: expected a finite number",
             id="int-past-digit-limit",
         ),
+        pytest.param(
+            "t", 1e-200, "t 1e-200 is too small: t^2 underflows a normal float", id="underflowing-t"
+        ),
+        pytest.param(
+            "trials",
+            10**400,
+            f"trials must be at most {sys.float_info.max}, got {10**400}",
+            id="huge-int-trials",
+        ),
     ],
 )
 @pytest.mark.parametrize(
-    "command", [["qfim"], ["kd"], ["distill"], ["sweep", "--t-list", "0.5,1"]]
+    "command",
+    [["qfim"], ["kd"], ["distill"], ["sweep", "--t-list", "0.5,1"], ["crb", "--batches", "5"]],
 )
 def test_invalid_scenario_numbers_exit_2_before_any_output(
     tmp_path, capsys, key, value, message, command

@@ -255,7 +255,7 @@ def test_search_radius_accepts_numpy_integers():
     numpy_int = run_crb_study(*args, theta_init=[0.35, 0.75], search_radius=np.int64(1))
     assert numpy_int.estimates.tobytes() == plain.estimates.tobytes()
     batch = sample_outcomes([0.5, 0.5], 100, 1)
-    with pytest.raises(ValidationError, match="positive number"):
+    with pytest.raises(ValidationError, match="^search_radius must be a real number, got True$"):
         mle_fit(batch, single_param_circuit(), Z_BASIS, [0.3], search_radius=True)
 
 

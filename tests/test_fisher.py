@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -132,6 +133,13 @@ def test_learnability_interval_validates_weight():
         learnability_interval(np.eye(2), weight=np.diag([1.0, -1.0]))
     with pytest.raises(ValidationError):
         learnability_interval(np.eye(2), trials=0)
+
+
+def test_learnability_interval_refuses_a_count_too_large_for_a_float():
+    largest = int(sys.float_info.max)
+    assert learnability_interval(np.eye(2), trials=largest)[0] == 2.0 / sys.float_info.max
+    with pytest.raises(ValidationError, match=r"^trials must be at most 1\.79\d*e\+308, got 10*$"):
+        learnability_interval(np.eye(2), trials=10**400)
 
 
 def test_learnability_interval_rejects_singular_fim():

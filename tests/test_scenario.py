@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import re
+import reprlib
+import sys
 import types
 from pathlib import Path
 
@@ -14,11 +16,16 @@ import qfisher
 from qfisher import (
     ScenarioConfig,
     ValidationError,
+    analyze_pair,
     build_circuit,
+    kraus_from_estimate,
+    learnability_interval,
     load_scenario,
+    sample_outcomes,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
+    validate_povm,
 )
 from qfisher.scenario import _array_from_json
 
@@ -424,6 +431,51 @@ def test_t_range_and_kd_pair_range():
     data["kd_pair"] = [0, 2]
     with pytest.raises(ValidationError, match=r"kd_pair\[1\]"):
         scenario_from_dict(data)
+
+
+# Accepted and refused values for each scalar field of ``full_config()``: a
+# two-parameter qubit scenario.
+SCALAR_CASES = {
+    "t": ([1, 0.5, 1e-150], [0, -1, True, 1.5, 1e-160, 1e-200, 10**400, [0.5]]),
+    "trials": ([1, int(sys.float_info.max)], [0, -1, True, 1.0, 1e-200, 10**400, [1]]),
+    "seed": ([0, 10**400], [-1, True, 0.0, 1e-200, [0]]),
+    "dim": ([2], [0, -1, True, 2.0, 1e-200, 10**400, 3, [2]]),
+    "kd_pair": ([[0, 1], [1, 1]], [[0, 2], [-1, 0], [True, 0], [0.0, 1], [0, 10**400], [0], 0]),
+}
+
+
+def _accepts(call, *args) -> bool:
+    try:
+        call(*args)
+    except ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "key, value, accepted",
+    [
+        pytest.param(key, value, accepted, id=f"{key}={reprlib.repr(value)}")
+        for key, cases in SCALAR_CASES.items()
+        for accepted, values in zip((True, False), cases)
+        for value in values
+    ],
+)
+def test_loader_accepts_a_scalar_exactly_when_the_library_does(key, value, accepted):
+    config = full_config()
+    circuit = build_circuit(config)
+    effect = kraus_from_estimate(circuit, config.theta_guess, config.t).effect
+    library = {
+        "t": lambda v: kraus_from_estimate(circuit, config.theta_guess, v),
+        "trials": lambda v: learnability_interval(np.eye(2), trials=v),
+        "seed": lambda v: sample_outcomes([0.5, 0.5], 1, v),
+        "dim": lambda v: validate_povm(config.povm, v),
+        "kd_pair": lambda v: analyze_pair(circuit, config.theta_true, v, effect),
+    }[key]
+    data = scenario_to_dict(config)
+    data[key] = value
+    assert _accepts(library, value) == accepted
+    assert _accepts(scenario_from_dict, data) == accepted
 
 
 def test_load_errors_pass_through(tmp_path):
