@@ -90,29 +90,40 @@ def as_param_vector(circuit: EncodingCircuit, theta, name: str = "theta") -> np.
     return values
 
 
+def _shown(value) -> str:
+    """``repr(value)``, or a stand-in when it holds an integer too long to print."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def _check_int(value, name: str, low: int, high: float | None = None) -> int:
     """An integer, not a bool, in [low, high], or at least ``low`` when ``high`` is None."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer >= {low}, got {_shown(value)}")
     if high is not None and value > high:
-        raise ValidationError(f"{name} must be at most {high}, got {value}")
+        raise ValidationError(f"{name} must be at most {high}, got {_shown(int(value))}")
     return int(value)
 
 
 def _check_pair(pair, name: str, n_params: int) -> tuple[int, int]:
-    """Two parameter indices, each an integer in [0, n_params)."""
-    try:
-        first, second = pair
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{name} must hold two parameter indices, got {pair!r}") from exc
+    """Two parameter indices, each an integer in [0, n_params), as a list, tuple or array."""
+    if not isinstance(pair, (list, tuple, np.ndarray)):
+        raise ValidationError(
+            f"{name} must be a list, tuple or array of two parameter indices, got {_shown(pair)}"
+        )
+    shape = pair.shape if isinstance(pair, np.ndarray) else (len(pair),)
+    if shape != (2,):
+        raise ValidationError(f"{name} must hold two parameter indices, got shape {shape}")
     last = n_params - 1
-    return _check_int(first, f"{name}[0]", 0, last), _check_int(second, f"{name}[1]", 0, last)
+    return _check_int(pair[0], f"{name}[0]", 0, last), _check_int(pair[1], f"{name}[1]", 0, last)
 
 
 def _check_real(value, name: str) -> float:
     """A real number, not a bool, as a float; an integer too large for one is +-inf."""
     if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        raise ValidationError(f"{name} must be a real number, got {value!r}")
+        raise ValidationError(f"{name} must be a real number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError:

@@ -79,21 +79,20 @@ def _scenario_circuit(args) -> tuple[ScenarioConfig, EncodingCircuit]:
 
 
 @contextlib.contextmanager
-def _open_csv(path, columns, default=None):
-    """Yield a CSV writer, header written, whose table goes to ``path`` (or
-    ``default`` without one) only when the block ends without raising.
+def _open_csv(path, columns, stream=None):
+    """Yield a CSV writer, header written: over ``stream`` (or a discarded
+    buffer) without a path, else over a buffer that replaces the file's
+    contents only when the block ends without raising.
 
     The path is opened before any computation, so a bad one fails fast, but
     for appending, so a failed run leaves an earlier file as it was (and
     removes a file it created).
     """
-    buffer = io.StringIO(newline="")
+    buffer = stream if path is None and stream is not None else io.StringIO(newline="")
     writer = csv.writer(buffer)
     writer.writerow(columns)
     if path is None:
         yield writer
-        if default is not None:
-            default.write(buffer.getvalue())
         return
     created = not os.path.lexists(path)
     with open(path, "a", newline="", encoding="utf-8") as target:
@@ -127,8 +126,6 @@ def cmd_qfim(args) -> int:
         print_matrix("uhlmann_curvature", curvature)
         for (i, j), entry in np.ndenumerate(qfim):
             writer.writerow([i, j, fmt_csv(entry), fmt_csv(curvature[i, j])])
-        # Both of these need the inverse QFIM; a singular matrix aborts with
-        # exit code 3 after the matrices above have been shown.
         print(f"geometric_quantumness: {fmt(geometric_quantumness(qfim, curvature))}")
         trials = 1 if config.trials is None else config.trials
         lower, upper = learnability_interval(qfim, config.weight, trials)
@@ -424,13 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command, then print its warnings and its error line, if any, to stderr."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; then write its held stdout if it succeeded, and its
+    warnings and error line, if any, to stderr."""
+    args = build_parser().parse_args(argv)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, error = _run(args)
+        with contextlib.redirect_stdout(io.StringIO()) as held:
+            code, error = _run(args)
     tail = [] if error is None else [error]
+    if not tail:
+        sys.stdout.write(held.getvalue())
     for line in [f"warning: {item.message}" for item in caught] + tail:
         print(line, file=sys.stderr)
     return code

@@ -16,7 +16,7 @@ from qfisher import (
 )
 from qfisher import circuit as circuit_module
 from qfisher import linalg
-from qfisher.circuit import _check_int
+from qfisher.circuit import _check_int, _check_pair, _check_real
 
 from helpers import (
     SIGMA_X,
@@ -180,9 +180,59 @@ def test_index_validation():
     # the KD pair check reads each parameter index through _check_int
     assert _check_int(0, "index", 0, 0) == 0
     assert type(_check_int(np.int64(2), "index", 0, 2)) is int
-    for bad in (1, -1, True, 0.0):
+    for bad in (1, -1, True, 0.0, 10**5000, -(10**5000)):
         with pytest.raises(ValidationError):
             _check_int(bad, "index", 0, 0)
+    assert _check_pair(np.array([1, 0]), "pair", 2) == (1, 0)
+    for bad in ({1, 0}, "ab", {"a": 1, "b": 0}, [0], (0, 1, 1), np.zeros((2, 2)), np.int64(1)):
+        with pytest.raises(ValidationError, match="^pair must"):
+            _check_pair(bad, "pair", 2)
+
+
+# Any value the shared checks might be handed, including integers past
+# Python's 4300-digit limit for printing one (built in a map, since Hypothesis
+# prints its strategies).
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([1, -1]).map(lambda sign: sign * 10**5000)
+    | st.sampled_from([np.int64(-3), np.uint64(2**64 - 1), np.bool_(True)])
+    | st.floats()
+    | st.complex_numbers()
+    | st.text(max_size=3)
+)
+_ARRAYS = st.sampled_from([np.array([0, 1]), np.array(1), np.zeros((2, 2)), np.array(["a", "b"])])
+_VALUES = st.recursive(
+    _SCALARS | _ARRAYS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.tuples(inner, inner)
+    | st.frozensets(_SCALARS, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(
+    value=_VALUES,
+    low=st.integers(-2, 2),
+    high=st.none() | st.integers(-2, 2) | st.just(1e308),
+    n_params=st.integers(0, 3),
+)
+def test_shared_checks_raise_only_validation_errors(value, low, high, n_params):
+    for check, args, kind in (
+        (_check_int, (low, high), int),
+        (_check_pair, (n_params,), tuple),
+        (_check_real, (), float),
+    ):
+        try:
+            result = check(value, "x", *args)
+        except ValidationError:
+            continue
+        assert type(result) is kind
+        if check is _check_pair:
+            assert result == (value[0], value[1])  # read in order, never from a set
 
 
 def _gate_unitary(generator, angle):

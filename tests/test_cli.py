@@ -1,3 +1,5 @@
+import contextlib
+import copy
 import csv
 import io
 import json
@@ -5,14 +7,18 @@ import math
 import os
 import stat
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import qfisher.cli
 import qfisher.distill
-from qfisher import ScenarioConfig, save_scenario
+from qfisher import NumericError, ScenarioConfig, save_scenario
 from qfisher.cli import build_parser, fmt, fmt_csv, main
 
 from helpers import SIGMA_X
@@ -86,8 +92,9 @@ def test_qfim_singular_exits_3(tmp_path, capsys):
     assert main(["qfim", "--scenario", path]) == 3
     captured = capsys.readouterr()
     assert "numeric error" in captured.err
-    # the matrices still print before the inversion fails
-    assert "qfim:" in captured.out
+    # the matrices are computed before the inversion fails, but a failed run
+    # prints nothing to stdout
+    assert captured.out == ""
 
 
 def test_distill_command_prints_regime_warning(capsys):
@@ -232,6 +239,19 @@ def test_reference_example_builds_one_filter(monkeypatch, capsys):
     assert main(["paper-example"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def test_reference_example_failing_after_its_report_prints_nothing(monkeypatch, capsys):
+    # The report is printed before the KD step runs; a numeric failure there
+    # still leaves stdout empty.
+    def singular(*args):
+        raise NumericError("matrix is singular")
+
+    monkeypatch.setattr(qfisher.cli, "analyze_pair", singular)
+    assert main(["paper-example"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "numeric error: matrix is singular\n"
 
 
 def test_crb_command(tmp_path, capsys):
@@ -475,3 +495,73 @@ def test_bad_povm_exits_2_before_any_output(tmp_path, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: povm effects do not sum to the identity\n"
+
+
+SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))}
+DELETE = object()
+# Stand-ins for a field or an array entry, numbers drawn half the time. 10**30
+# is a trials past MAX_TRIALS; none is a trials between 10**5 and MAX_TRIALS,
+# whose batch crb would hold in memory (1.6 GB at 10**8).
+NUMBERS = (0, -1, 2, 0.5, 1e-200, 1e308, 10**30)
+OTHERS = (DELETE, None, True, False, "x", "", [], [0.5, [0.5]], {}, {"re": 0.5})
+
+
+@st.composite
+def scenario_mutations(draw):
+    """A shipped scenario's name, a path to a field or to one entry deep in an
+    array, and the value put there (DELETE removes it)."""
+    name = draw(st.sampled_from(sorted(SHIPPED)))
+    data = SHIPPED[name]
+    keys = set(data) | {"weight", "kd_pair", "povm", "trials", "seed"}
+    path = [draw(st.sampled_from(sorted(keys)))]
+    node = data.get(path[0])
+    if draw(st.booleans()):
+        while isinstance(node, list) and node:
+            path.append(draw(st.integers(0, len(node) - 1)))
+            node = node[path[-1]]
+    return name, tuple(path), draw(st.sampled_from(NUMBERS) | st.sampled_from(OTHERS))
+
+
+def _mutated(name, path, value) -> dict:
+    data = copy.deepcopy(SHIPPED[name])
+    node = data
+    for step in path[:-1]:
+        node = node[step]
+    if value is not DELETE:
+        node[path[-1]] = value
+    elif isinstance(node, list) or path[-1] in node:
+        del node[path[-1]]
+    return data
+
+
+@settings(deadline=None, derandomize=True, max_examples=60)
+@given(scenario_mutations())
+# theta_true = [0, 0] makes the reference QFIM [[4, 2*sqrt(2)], [2*sqrt(2), 2]] singular.
+@example(("reference_qubit", ("theta_true",), [0, 0]))
+def test_cli_contract_on_mutated_scenarios(mutation):
+    """Every scenario command on a mutated scenario raises nothing and exits 0,
+    2 or 3 (1 only for kd's verdict). A failed run prints nothing to stdout,
+    ends stderr with its error line and leaves an earlier --csv file as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        scenario, target = Path(tmp) / "scenario.json", Path(tmp) / "earlier.csv"
+        scenario.write_text(json.dumps(_mutated(*mutation)))
+        for argv in (
+            ["qfim", "--csv", str(target)],
+            ["distill"],
+            ["kd"],
+            ["sweep", "--t-list", "0.5,1"],
+            ["crb", "--batches", "3", "--csv", str(target)],
+        ):
+            target.write_bytes(b"earlier,run\r\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*argv, "--scenario", str(scenario)])
+            lines = err.getvalue().splitlines()
+            assert code in ({0, 1, 2, 3} if argv[0] == "kd" else {0, 2, 3}), (argv, lines)
+            if code < 2:
+                assert all(line.startswith("warning: ") for line in lines), (argv, lines)
+                continue
+            assert out.getvalue() == "", (argv, lines)
+            assert lines[-1].startswith(("error: ", "numeric error: ")), (argv, lines)
+            assert all(line.startswith("warning: ") for line in lines[:-1]), (argv, lines)
+            assert target.read_bytes() == b"earlier,run\r\n", argv

@@ -440,7 +440,13 @@ SCALAR_CASES = {
     "trials": ([1, int(sys.float_info.max)], [0, -1, True, 1.0, 1e-200, 10**400, [1]]),
     "seed": ([0, 10**400], [-1, True, 0.0, 1e-200, [0]]),
     "dim": ([2], [0, -1, True, 2.0, 1e-200, 10**400, 3, [2]]),
-    "kd_pair": ([[0, 1], [1, 1]], [[0, 2], [-1, 0], [True, 0], [0.0, 1], [0, 10**400], [0], 0]),
+    "kd_pair": (
+        [[0, 1], [1, 1]],
+        [
+            [0, 2], [-1, 0], [True, 0], [0.0, 1], [0, 10**400], [0], 0,
+            "ab", {1, 0}, {"a": 1, "b": 0},
+        ],
+    ),
 }
 
 
