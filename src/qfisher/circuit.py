@@ -3,8 +3,9 @@
 A circuit applies exp(i*theta[0]*A_0) to the initial state first, then
 exp(i*theta[1]*A_1), and so on: generators are given in application
 order. Parameter indices are 0-based throughout the package. The checks
-of integer, parameter-pair and real-number inputs live here too, so every
-module and the scenario loader apply one rule to each kind of input.
+of integer, parameter-pair and real-number inputs live here too, and array
+inputs go through ``linalg.as_array``, so every module and the scenario
+loader apply one rule to each kind of input.
 """
 
 from __future__ import annotations
@@ -12,20 +13,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import herm_eig, require_hermitian
+from .linalg import as_array, herm_eig, require_hermitian
 
 STATE_NORM_TOL = 1e-10
 
 
 def as_pure_state(values, dim: int | None = None, name: str = "state") -> np.ndarray:
     """Coerce input to a normalized complex vector."""
-    vec = np.asarray(values, dtype=complex)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValidationError(f"{name} must be a nonempty vector, got shape {vec.shape}")
-    if not np.all(np.isfinite(vec)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    if dim is not None and vec.size != dim:
-        raise ValidationError(f"{name} has dimension {vec.size}, expected {dim}")
+    vec = as_array(values, name, (dim,), complex)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValidationError(f"{name} is not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
@@ -47,6 +42,10 @@ class EncodingCircuit:
     """
 
     def __init__(self, generators, initial_state):
+        if not np.iterable(generators):
+            raise ValidationError(
+                f"generators must be a sequence of matrices, got {_shown(generators)}"
+            )
         gens = [require_hermitian(g, f"generators[{m}]") for m, g in enumerate(generators)]
         if not gens:
             raise ValidationError("at least one generator is required")
@@ -80,14 +79,7 @@ class EncodingCircuit:
 
 def as_param_vector(circuit: EncodingCircuit, theta, name: str = "theta") -> np.ndarray:
     """Coerce to a finite real vector of the circuit's parameter count."""
-    values = np.asarray(theta, dtype=float)
-    if values.ndim != 1 or values.size != circuit.n_params:
-        raise ValidationError(
-            f"{name} must be a vector of length {circuit.n_params}, got shape {values.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValidationError(f"{name} contains non-finite entries")
-    return values
+    return as_array(theta, name, (circuit.n_params,))
 
 
 def _shown(value) -> str:

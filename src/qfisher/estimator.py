@@ -18,7 +18,7 @@ from .circuit import EncodingCircuit, _check_int, _check_real, _sweep, as_param_
 from .errors import NumericError, ValidationError
 from .fisher import MAX_FLOAT_TRIALS, PROBABILITY_FLOOR, _CheckedPovm, _effects
 from .fisher import _outcome_slopes, classical_fim, validate_povm
-from .linalg import invert
+from .linalg import as_array, invert
 
 # Fisher-scoring iterations after which a fit counts as non-convergent.
 MLE_MAX_ITERATIONS = 100
@@ -53,11 +53,9 @@ def sample_outcomes(probs, trials, seed) -> SampleBatch:
     given seed always yields identical counts. A batch holds every draw in
     memory, so ``trials`` is capped at ``MAX_TRIALS``.
     """
-    probs = np.asarray(probs, dtype=float)
-    if probs.ndim != 1 or probs.size == 0:
-        raise ValidationError(f"probs must be a nonempty vector, got shape {probs.shape}")
-    if not np.all(np.isfinite(probs)) or np.any(probs < 0.0):
-        raise ValidationError("probs must be finite and non-negative")
+    probs = as_array(probs, "probs", (None,))
+    if np.any(probs < 0.0):
+        raise ValidationError("probs must be non-negative")
     if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL:
         raise ValidationError(f"probs sum to {float(probs.sum()):.12g}, expected 1")
     trials = _check_int(trials, "trials", 1, MAX_TRIALS)
@@ -74,10 +72,8 @@ def sample_outcomes(probs, trials, seed) -> SampleBatch:
 
 def loglikelihood(counts, probs) -> float:
     """Multinomial log-likelihood; zero-count outcomes contribute nothing."""
-    counts = np.asarray(counts, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    if counts.shape != probs.shape:
-        raise ValidationError("counts and probs must have matching shapes")
+    counts = as_array(counts, "counts", (None,))
+    probs = as_array(probs, "probs", counts.shape)
     support = counts > 0
     return float(np.sum(counts[support] * np.log(np.maximum(probs[support], LOGLIK_PROB_FLOOR))))
 
@@ -106,25 +102,24 @@ def mle_fit(
         raise ValidationError(f"search_radius must be positive and finite, got {radius}")
     if not isinstance(batch, SampleBatch):
         raise ValidationError(f"batch must be a SampleBatch, got {type(batch).__name__}")
-    if batch.counts.size != len(effects):
-        raise ValidationError(
-            f"batch has {batch.counts.size} outcome counts, povm has {len(effects)}"
-        )
+    counts = as_array(batch.counts, "batch.counts", (len(effects),))
+    if np.any(counts < 0.0):
+        raise ValidationError("batch.counts must be non-negative")
     lower, upper = theta - radius, theta + radius
 
     def objective(point):
         # The log floor in loglikelihood covers roundoff-negative probabilities.
         state = _sweep(circuit, point, circuit._entry, 0, circuit.n_params)
-        return loglikelihood(batch.counts, np.real((effects @ state) @ state.conj()))
+        return loglikelihood(counts, np.real((effects @ state) @ state.conj()))
 
     best = objective(theta)
     prior, tie = np.inf, 64.0 * np.finfo(float).eps
     for iteration in range(MLE_MAX_ITERATIONS):
         probs, slopes = _outcome_slopes(effects, circuit, theta)
         weighted = slopes.T / np.maximum(probs, PROBABILITY_FLOOR)
-        info, score = batch.counts.sum() * weighted @ slopes, weighted @ batch.counts
+        info, score = counts.sum() * weighted @ slopes, weighted @ counts
         # Roundoff of the log-likelihood, at least eps per count: smaller changes are ties.
-        slack = tie * (abs(best) + batch.counts.sum())
+        slack = tie * (abs(best) + counts.sum())
         # Edge coordinates whose score points out of the box stay put.
         free = ~((theta == lower) & (score < 0) | (theta == upper) & (score > 0))
         curvature, axes = np.linalg.eigh(info[np.ix_(free, free)])
@@ -186,11 +181,7 @@ def crb_comparison(
     """
     trials = _check_int(trials, "trials", 1, MAX_FLOAT_TRIALS)
     theta_true = as_param_vector(circuit, theta_true, "theta_true")
-    stacked = np.asarray(estimates, dtype=float)
-    if stacked.ndim != 2 or stacked.shape[1] != circuit.n_params:
-        raise ValidationError(
-            f"estimates must be shaped (batches, {circuit.n_params}), got {stacked.shape}"
-        )
+    stacked = as_array(estimates, "estimates", (None, circuit.n_params))
     if stacked.shape[0] < 2:
         raise ValidationError("need at least 2 batches to estimate a covariance")
     fim = classical_fim(circuit, theta_true, povm)

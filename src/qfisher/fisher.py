@@ -14,9 +14,10 @@ import warnings
 
 import numpy as np
 
-from .circuit import EncodingCircuit, _check_int, tangent_frame
+from .circuit import EncodingCircuit, _check_int, _shown, tangent_frame
 from .errors import NumericError, ValidationError
-from .linalg import DEFAULT_TOL, as_square_matrix, invert, require_hermitian, spectral_radius
+from .linalg import DEFAULT_TOL, as_array, as_square_matrix, invert, require_hermitian
+from .linalg import spectral_radius
 
 # Outcomes with probability below this floor are dropped from Fisher sums.
 PROBABILITY_FLOOR = 1e-12
@@ -58,6 +59,8 @@ def validate_povm(effects, dim: int | None = None) -> np.ndarray:
     """Check that effects are PSD and resolve the identity; return the
     validated copies stacked as a K x D x D array. Without ``dim`` the first
     effect sets the dimension."""
+    if not np.iterable(effects):
+        raise ValidationError(f"povm must be a sequence of effects, got {_shown(effects)}")
     elements = []
     for k, effect in enumerate(effects):
         mat = require_effect(effect, dim, f"povm[{k}]")
@@ -199,11 +202,7 @@ def classical_fim(circuit: EncodingCircuit, theta, povm) -> np.ndarray:
 def _validate_weight(weight, size: int) -> np.ndarray:
     if weight is None:
         return np.eye(size)
-    mat = np.asarray(weight, dtype=float)
-    if mat.shape != (size, size):
-        raise ValidationError(f"weight must be {size}x{size}, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
-        raise ValidationError("weight contains non-finite entries")
+    mat = as_array(weight, "weight", (size, size))
     scale = max(1.0, float(np.max(np.abs(mat))))
     if float(np.max(np.abs(mat - mat.T))) > DEFAULT_TOL * scale:
         raise ValidationError("weight must be symmetric")
@@ -221,7 +220,7 @@ def learnability_interval(fim, weight=None, trials: int = 1) -> tuple[float, flo
     Fails on a singular information matrix: the singular parameters must be
     removed by the caller, not papered over.
     """
-    mat = np.real(as_square_matrix(fim, "fim"))
+    mat = as_square_matrix(fim, "fim", float)
     weight_mat = _validate_weight(weight, mat.shape[0])
     trials = _check_int(trials, "trials", 1, MAX_FLOAT_TRIALS)
     lower = float(np.trace(weight_mat @ np.real(invert(mat)))) / trials
@@ -234,10 +233,8 @@ def geometric_quantumness(qfim, curvature) -> float:
     Computed as the spectral radius of i * qfim^-1 * curvature. Values
     outside [0, 1] beyond tolerance signal an implementation bug and raise.
     """
-    qfim_mat = np.real(as_square_matrix(qfim, "qfim"))
-    curv_mat = np.real(as_square_matrix(curvature, "curvature"))
-    if curv_mat.shape != qfim_mat.shape:
-        raise ValidationError("qfim and curvature dimensions differ")
+    qfim_mat = as_square_matrix(qfim, "qfim", float)
+    curv_mat = as_array(curvature, "curvature", qfim_mat.shape)
     value = spectral_radius(1j * invert(qfim_mat) @ curv_mat)
     if value > 1.0 + QUANTUMNESS_TOL:
         raise NumericError(f"geometric quantumness {value:.6e} exceeds 1 beyond tolerance")

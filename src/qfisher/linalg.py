@@ -1,8 +1,9 @@
 """Dense complex-matrix primitives shared by every other module.
 
-Hermiticity check, Hermitian eigendecomposition, guarded inversion and
-the spectral radius. All functions are pure: inputs are never mutated, and
-identical inputs give identical outputs.
+The one check of array inputs, the Hermiticity check, Hermitian
+eigendecomposition, guarded inversion and the spectral radius. All
+functions are pure: inputs are never mutated, and identical inputs give
+identical outputs.
 """
 
 from __future__ import annotations
@@ -19,18 +20,34 @@ DEFAULT_TOL = 1e-10
 INVERT_RTOL = 1e-12
 
 
-def as_complex_matrix(values, name: str = "matrix") -> np.ndarray:
-    """Coerce input to a finite 2-D complex array."""
-    mat = np.asarray(values, dtype=complex)
-    if mat.ndim != 2 or mat.size == 0:
-        raise ValidationError(f"{name} must be a nonempty 2-D array, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat)):
+def as_array(values, name: str, shape: tuple, dtype=float) -> np.ndarray:
+    """The one rule for array inputs: a finite ``dtype`` array of ``shape``.
+
+    A None in ``shape`` takes any nonzero length. Input that numpy reads as
+    bools, text or objects, ragged nesting and, where ``dtype`` is float,
+    complex entries are refused, not converted. An array of ``dtype`` is
+    returned as it is, without a copy.
+    """
+    numbers = "real numbers" if dtype is float else "numbers"
+    try:
+        raw = np.asarray(values)
+    except ValueError:
+        raise ValidationError(f"{name} must be a rectangular array of {numbers}") from None
+    if raw.dtype.kind not in ("iuf" if dtype is float else "iufc"):
+        raise ValidationError(f"{name} must be an array of {numbers}, got dtype {raw.dtype}")
+    if raw.ndim != len(shape) or not all(
+        size > 0 if want is None else size == want for size, want in zip(raw.shape, shape)
+    ):
+        wanted = str(tuple("n" if want is None else want for want in shape)).replace("'", "")
+        raise ValidationError(f"{name} must have shape {wanted}, got shape {raw.shape}")
+    array = raw.astype(dtype, copy=False)
+    if not np.isfinite(array).all():
         raise ValidationError(f"{name} contains non-finite entries")
-    return mat
+    return array
 
 
-def as_square_matrix(values, name: str = "matrix") -> np.ndarray:
-    mat = as_complex_matrix(values, name)
+def as_square_matrix(values, name: str = "matrix", dtype=complex) -> np.ndarray:
+    mat = as_array(values, name, (None, None), dtype)
     if mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"{name} must be square, got shape {mat.shape}")
     return mat

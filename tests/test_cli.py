@@ -6,6 +6,7 @@ import json
 import math
 import os
 import stat
+import subprocess
 import sys
 import tempfile
 import threading
@@ -565,3 +566,20 @@ def test_cli_contract_on_mutated_scenarios(mutation):
             assert lines[-1].startswith(("error: ", "numeric error: ")), (argv, lines)
             assert all(line.startswith("warning: ") for line in lines[:-1]), (argv, lines)
             assert target.read_bytes() == b"earlier,run\r\n", argv
+
+
+def test_import_footprint_is_numpy_alone():
+    """Importing the CLI loads no third-party package but numpy: start-up time
+    is the interpreter's, numpy's and this package's own."""
+    probe = (
+        "import sys; before = set(sys.modules); import qfisher.cli; "
+        "added = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+        "print(' '.join(sorted(added - set(sys.stdlib_module_names))))"
+    )
+    source = str(Path(qfisher.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stdout.split() == ["numpy", "qfisher"]

@@ -1,4 +1,6 @@
+import contextlib
 import math
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import qfisher.fisher
 from qfisher import (
     EncodingCircuit,
     NumericError,
+    SampleBatch,
     ValidationError,
     build_circuit,
     crb_comparison,
@@ -30,6 +33,22 @@ Z_BASIS = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(compl
 
 def single_param_circuit():
     return EncodingCircuit((SIGMA_X,), np.array([1.0, 0.0], dtype=complex))
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail a call that runs past ``seconds`` instead of waiting on it."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"call ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_outcome_probabilities_normalized():
@@ -140,6 +159,10 @@ def test_mle_fit_validation():
     three_outcomes = sample_outcomes([0.3, 0.3, 0.4], 100, 1)
     with pytest.raises(ValidationError):
         mle_fit(three_outcomes, circuit, Z_BASIS, [0.3])
+    # Bad counts are refused before the fit; the guard turns a stalled step halving into a failure.
+    for counts in ([np.nan, 100.0], [np.inf, 0.0], [-np.inf, 0.0], [-5, 105]):
+        with _within(1.0), pytest.raises(ValidationError):
+            mle_fit(SampleBatch(1, 100, np.array(counts)), circuit, Z_BASIS, [0.3])
 
 
 def test_crb_comparison_small_example():

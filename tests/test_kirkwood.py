@@ -328,6 +328,35 @@ def test_negativity_flags_negative_and_imaginary():
     assert not _negativity(np.array([[1.0, 0.0], [0.0, 2e-9j]]))[1]
 
 
+def test_entry_within_negativity_budget():
+    """|entry| <= (S + S^2) spread_i spread_j <= (1 + 2N)(2 + 2N) spread_i spread_j.
+
+    S is the sum of |q| over the conditioned table and N its total
+    negativity. With centred spectra each |a| is at most half its spread, so
+    the correlation term is at most S/4 and each mean at most S/2 of the
+    spreads; and S <= 1 + 2N, since the real parts sum to 1.
+    """
+    rng = np.random.default_rng(8)
+    for k in range(200):
+        dim, n_params = int(rng.integers(2, 9)), int(rng.integers(1, 4))
+        circuit = random_circuit(rng, dim, n_params)
+        theta = rng.uniform(-math.pi, math.pi, n_params)
+        pair = tuple(int(m) for m in rng.integers(0, n_params, 2))
+        if k % 2:
+            effect = random_smeared_effect(rng, dim)
+        else:
+            guess = theta + rng.normal(0.0, 0.05, n_params)
+            effect = kraus_from_estimate(circuit, guess, 10.0 ** rng.uniform(-3.0, 0.0)).effect
+        result = analyze_pair(circuit, theta, pair, effect)
+        size = float(np.sum(np.abs(result.conditioned)))
+        negativity = result.total_negativity
+        spreads = result.spread_i * result.spread_j
+        budget = (size + size**2) * spreads
+        assert abs(result.entry) <= budget * (1.0 + 1e-9)
+        ceiling = (1.0 + 2.0 * negativity) * (2.0 + 2.0 * negativity) * spreads
+        assert budget <= ceiling * (1.0 + 1e-9)
+
+
 def test_consistency_check_truth_table(monkeypatch):
     """The verdict on the reference pair, whose covariance bound is 4, with
     its entry and classicality replaced."""

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 
 from qfisher import NumericError, QFisherError, ValidationError
 from qfisher.linalg import (
-    as_complex_matrix,
+    as_array,
     as_square_matrix,
     herm_eig,
     invert,
@@ -24,11 +26,37 @@ def square_complex(dim):
     ).map(lambda pair: pair[0] + 1j * pair[1])
 
 
-def test_as_complex_matrix_rejects_non_matrix():
+def test_as_array_rejects_non_matrix():
     with pytest.raises(ValidationError):
-        as_complex_matrix([1.0, 2.0], "thing")
+        as_array([1.0, 2.0], "thing", (None, None), complex)
     with pytest.raises(ValidationError):
-        as_complex_matrix(np.array([[np.inf, 0.0], [0.0, 1.0]]), "thing")
+        as_array(np.array([[np.inf, 0.0], [0.0, 1.0]]), "thing", (None, None), complex)
+
+
+@pytest.mark.parametrize(
+    "values, shape, dtype, message",
+    [
+        ([[1.0, 2.0], [3.0]], (None,), float, "x must be a rectangular array of real numbers"),
+        ([True, False], (2,), float, "x must be an array of real numbers, got dtype bool"),
+        (["0.3", "0.8"], (2,), complex, "x must be an array of numbers, got dtype <U3"),
+        ([1j, 0.0], (2,), float, "x must be an array of real numbers, got dtype complex128"),
+        ([10**30], (1,), float, "x must be an array of real numbers, got dtype object"),
+        (None, (2,), float, "x must be an array of real numbers, got dtype object"),
+        ([], (None,), float, "x must have shape (n,), got shape (0,)"),
+        ([[0.5, 0.5]], (None, 3), float, "x must have shape (n, 3), got shape (1, 2)"),
+        ([0.5, np.nan], (2,), float, "x contains non-finite entries"),
+    ],
+)
+def test_as_array_refuses_without_converting(values, shape, dtype, message):
+    with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+        as_array(values, "x", shape, dtype)
+
+
+def test_as_array_returns_the_dtype_asked_for():
+    assert as_array([1, 2], "x", (None,)).dtype == np.float64
+    assert as_array([[1.0, 0.0], [0.0, 1.0]], "x", (2, 2), complex).dtype == np.complex128
+    values = np.array([0.25, 0.75])
+    assert as_array(values, "x", (2,)) is values
 
 
 def test_as_square_matrix_rejects_rectangular():
