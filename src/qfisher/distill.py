@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import STATE_NORM_TOL, EncodingCircuit, _check_real, as_param_vector, evolve
-from .circuit import tangent_frame
+from .circuit import STATE_NORM_TOL, EncodingCircuit, _check_real, _shown, as_param_vector
+from .circuit import as_pure_state, evolve, tangent_frame
 from .errors import NumericError, ValidationError
 from .fisher import (
     _check_success_prob,
@@ -91,6 +91,11 @@ def postselect(circuit: EncodingCircuit, theta, plan: DistillationPlan) -> tuple
     Returns ``(postselected_state, success_prob)`` with the state
     renormalized. Success probability below the floor aborts.
     """
+    if not isinstance(plan, DistillationPlan):
+        raise ValidationError(f"plan must be a DistillationPlan, got {_shown(plan)}")
+    t = _check_transmissivity(plan.transmissivity, "plan.transmissivity")
+    guess = as_pure_state(plan.guess_state, circuit.dim, "plan.guess_state")
+    plan = DistillationPlan(t, plan.theta_guess, guess)
     split, success_prob = _filter_frame(plan, evolve(circuit, theta)[:, None])
     filtered = split[0, 0] * plan.guess_state + split[1:, 0]
     return filtered / np.sqrt(success_prob), success_prob

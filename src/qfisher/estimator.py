@@ -185,7 +185,7 @@ def crb_comparison(
     if stacked.shape[0] < 2:
         raise ValidationError("need at least 2 batches to estimate a covariance")
     fim = classical_fim(circuit, theta_true, povm)
-    bound = np.real(invert(trials * fim))
+    bound = invert(trials * fim)
     centered = stacked - stacked.mean(axis=0)
     empirical = centered.T @ centered / (stacked.shape[0] - 1)
     slack = float(np.linalg.eigvalsh(empirical - bound)[0])

@@ -16,8 +16,7 @@ import numpy as np
 
 from .circuit import EncodingCircuit, _check_int, _shown, tangent_frame
 from .errors import NumericError, ValidationError
-from .linalg import DEFAULT_TOL, as_array, as_square_matrix, invert, require_hermitian
-from .linalg import spectral_radius
+from .linalg import DEFAULT_TOL, PSD_RTOL, as_array, require_hermitian, spd_eig
 
 # Outcomes with probability below this floor are dropped from Fisher sums.
 PROBABILITY_FLOOR = 1e-12
@@ -27,8 +26,6 @@ DIVERGENT_SLOPE_TOL = 1e-8
 POSTSELECTION_PROB_FLOOR = 1e-12
 # Asymmetry allowed in a computed QFIM before symmetrization.
 QFIM_SYMMETRY_TOL = 1e-9
-# Most negative eigenvalue (relative) tolerated in a QFIM.
-QFIM_PSD_RTOL = 1e-9
 # Slack allowed above 1 for the geometric quantumness.
 QUANTUMNESS_TOL = 1e-9
 # Largest trial count: risk brackets divide by it as a float.
@@ -41,24 +38,23 @@ class DivergentInformationWarning(RuntimeWarning):
 
 
 def require_effect(effect, dim: int | None = None, name: str = "effect") -> np.ndarray:
-    """Validate a single effect: Hermitian, PSD and, if given, of dimension dim.
-
-    Returns the symmetrized copy.
-    """
+    """Validate a single effect: Hermitian, between 0 and the identity and, if
+    given, of dimension dim. Returns the symmetrized copy."""
     mat = require_hermitian(effect, name, rtol=DEFAULT_TOL)
     if dim is not None and mat.shape[0] != _check_int(dim, "dim", 1):
         raise ValidationError(f"{name} has dimension {mat.shape[0]}, expected {dim}")
-    lowest = float(np.linalg.eigvalsh(mat)[0])
+    lowest, highest = np.linalg.eigvalsh(mat)[[0, -1]]
     scale = max(1.0, float(np.max(np.abs(mat))))
     if lowest < -DEFAULT_TOL * scale:
         raise ValidationError(f"{name} is not positive semidefinite: min eigenvalue {lowest:.3e}")
+    if highest > 1.0 + DEFAULT_TOL * scale:
+        raise ValidationError(f"{name} exceeds the identity: max eigenvalue {highest:.3e}")
     return mat
 
 
 def validate_povm(effects, dim: int | None = None) -> np.ndarray:
-    """Check that effects are PSD and resolve the identity; return the
-    validated copies stacked as a K x D x D array. Without ``dim`` the first
-    effect sets the dimension."""
+    """Validate each effect and that they sum to the identity; return the copies
+    stacked K x D x D. Without ``dim`` the first effect sets the dimension."""
     if not np.iterable(effects):
         raise ValidationError(f"povm must be a sequence of effects, got {_shown(effects)}")
     elements = []
@@ -147,7 +143,7 @@ def qfim_from_tensor(tensor) -> np.ndarray:
     qfim = (qfim + qfim.T) / 2.0
     eigenvalues = np.linalg.eigvalsh(qfim)
     bound = max(1.0, float(np.max(np.abs(eigenvalues))))
-    if float(eigenvalues[0]) < -QFIM_PSD_RTOL * bound:
+    if float(eigenvalues[0]) < -PSD_RTOL * bound:
         raise NumericError(
             f"computed QFIM is not positive semidefinite: min eigenvalue {eigenvalues[0]:.3e}"
         )
@@ -215,27 +211,33 @@ def learnability_interval(fim, weight=None, trials: int = 1) -> tuple[float, flo
     """Two-sided bracket on the best achievable risk for a pure state.
 
     The lower edge is the Cramér-Rao bound Tr[W fim^-1] / trials for a
-    positive weight W; the upper edge is exactly twice the lower: the
-    most-informative measurement lands inside this factor-2 sandwich.
-    Fails on a singular information matrix: the singular parameters must be
-    removed by the caller, not papered over.
+    positive weight W, sum_k v_k^T W v_k / lambda_k over fim's eigenpairs;
+    the most-informative measurement lands inside the factor-2 sandwich up to
+    exactly twice the lower edge. Fails on a singular information matrix:
+    the singular parameters must be removed by the caller, not papered over.
     """
-    mat = as_square_matrix(fim, "fim", float)
-    weight_mat = _validate_weight(weight, mat.shape[0])
+    eigenvalues, vectors = spd_eig(fim, "fim")
+    weight_mat = _validate_weight(weight, eigenvalues.size)
     trials = _check_int(trials, "trials", 1, MAX_FLOAT_TRIALS)
-    lower = float(np.trace(weight_mat @ np.real(invert(mat)))) / trials
+    lower = float(np.sum(np.sum(vectors * (weight_mat @ vectors), axis=0) / eigenvalues)) / trials
     return (lower, 2.0 * lower)
 
 
 def geometric_quantumness(qfim, curvature) -> float:
     """Norm measure of the QFIM/curvature incompatibility, in [0, 1].
 
-    Computed as the spectral radius of i * qfim^-1 * curvature. Values
-    outside [0, 1] beyond tolerance signal an implementation bug and raise.
+    The spectral radius of i * qfim^-1 * curvature D, read off the similar
+    Hermitian i X^T D X, X = V Lambda^-1/2 for qfim = V Lambda V^T. D must be
+    antisymmetric to DEFAULT_TOL times the QFIM's top eigenvalue, the scale of
+    its roundoff. A value above 1 beyond tolerance signals an implementation bug.
     """
-    qfim_mat = as_square_matrix(qfim, "qfim", float)
-    curv_mat = as_array(curvature, "curvature", qfim_mat.shape)
-    value = spectral_radius(1j * invert(qfim_mat) @ curv_mat)
+    eigenvalues, vectors = spd_eig(qfim, "qfim")
+    curv = as_array(curvature, "curvature", vectors.shape)
+    drift = float(np.max(np.abs(curv + curv.T)))
+    if drift > DEFAULT_TOL * float(eigenvalues[-1]):
+        raise ValidationError(f"curvature is not antisymmetric: max|D + D^T| = {drift:.3e}")
+    frame = vectors / np.sqrt(eigenvalues)
+    value = float(np.max(np.abs(np.linalg.eigvalsh(0.5j * frame.T @ (curv - curv.T) @ frame))))
     if value > 1.0 + QUANTUMNESS_TOL:
         raise NumericError(f"geometric quantumness {value:.6e} exceeds 1 beyond tolerance")
     return value

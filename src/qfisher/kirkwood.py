@@ -162,10 +162,10 @@ class KdPairAnalysis:
     CLASSICALITY_TOL.
 
     A classical distribution caps the entry at the covariance bound
-    spread_i * spread_j. ``consistent`` is False only on a counterexample:
-    an entry beyond the bound by more than the relative slack
-    CLASSICALITY_TOL while the distribution looks classical. The slack
-    scales with the bound, so rescaling both generators keeps the verdict.
+    B = spread_i * spread_j, any other at (1 + 2N)(2 + 2N) B, N the total
+    negativity. ``consistent`` is False only when the entry breaks its cap
+    by more than the relative slack CLASSICALITY_TOL, which scales with B,
+    so rescaling both generators keeps the verdict.
     """
 
     pair: tuple[int, int]
@@ -187,7 +187,7 @@ def analyze_pair(circuit: EncodingCircuit, theta, pair, effect) -> KdPairAnalysi
     conditioned = dist.table[:, :, 0] / success_prob
     entry = _entry(conditioned, dist.eigenvalues_i, dist.eigenvalues_j)
     total, classical = _negativity(conditioned)
-    anomalous = abs(entry) > dist.spread_i * dist.spread_j * (1.0 + CLASSICALITY_TOL)
+    cap = 1.0 if classical else (1.0 + 2.0 * total) * (2.0 + 2.0 * total)
     return KdPairAnalysis(
         pair=dist.pair,
         success_prob=success_prob,
@@ -197,5 +197,5 @@ def analyze_pair(circuit: EncodingCircuit, theta, pair, effect) -> KdPairAnalysi
         spread_j=dist.spread_j,
         total_negativity=total,
         classical=classical,
-        consistent=not (anomalous and classical),
+        consistent=abs(entry) <= cap * dist.spread_i * dist.spread_j * (1.0 + CLASSICALITY_TOL),
     )

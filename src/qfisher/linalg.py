@@ -1,9 +1,9 @@
 """Dense complex-matrix primitives shared by every other module.
 
 The one check of array inputs, the Hermiticity check, Hermitian
-eigendecomposition, guarded inversion and the spectral radius. All
-functions are pure: inputs are never mutated, and identical inputs give
-identical outputs.
+eigendecomposition and the one gated factorisation of a symmetric
+positive-definite matrix. All functions are pure: inputs are never
+mutated, and identical inputs give identical outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,9 @@ from .errors import NumericError, ValidationError
 HERMITICITY_RTOL = 1e-12
 # Default absolute tolerance for matrix comparisons, scaled by max-norm.
 DEFAULT_TOL = 1e-10
-# Singular-value ratio below which inversion refuses to proceed.
+# Most negative eigenvalue, relative to max(1, max|eigenvalue|), of a PSD matrix.
+PSD_RTOL = 1e-9
+# Eigenvalue ratio below which a positive-definite matrix counts as singular.
 INVERT_RTOL = 1e-12
 
 
@@ -24,9 +26,9 @@ def as_array(values, name: str, shape: tuple, dtype=float) -> np.ndarray:
     """The one rule for array inputs: a finite ``dtype`` array of ``shape``.
 
     A None in ``shape`` takes any nonzero length. Input that numpy reads as
-    bools, text or objects, ragged nesting and, where ``dtype`` is float,
-    complex entries are refused, not converted. An array of ``dtype`` is
-    returned as it is, without a copy.
+    bools, text or objects, a bool entry of a list or tuple, ragged nesting
+    and, where ``dtype`` is float, complex entries are refused, not
+    converted. An array of ``dtype`` is returned as it is, without a copy.
     """
     numbers = "real numbers" if dtype is float else "numbers"
     try:
@@ -35,6 +37,9 @@ def as_array(values, name: str, shape: tuple, dtype=float) -> np.ndarray:
         raise ValidationError(f"{name} must be a rectangular array of {numbers}") from None
     if raw.dtype.kind not in ("iuf" if dtype is float else "iufc"):
         raise ValidationError(f"{name} must be an array of {numbers}, got dtype {raw.dtype}")
+    leaves = np.array(values, dtype=object).flat if isinstance(values, (list, tuple)) else ()
+    if {bool, np.bool_} & set(map(type, leaves)):
+        raise ValidationError(f"{name} must be an array of {numbers}, got a bool entry")
     if raw.ndim != len(shape) or not all(
         size > 0 if want is None else size == want for size, want in zip(raw.shape, shape)
     ):
@@ -84,37 +89,25 @@ def herm_eig(matrix: np.ndarray, name: str = "matrix") -> tuple[np.ndarray, np.n
         raise NumericError(f"eigendecomposition of {name} failed: {exc}") from exc
 
 
-def invert(matrix) -> np.ndarray:
-    """Invert a square matrix, refusing near-singular input.
-
-    Fails when the smallest singular value is below ``INVERT_RTOL`` times
-    the largest. No pseudo-inverse is substituted: singular directions mean
-    the caller must drop or reparametrize, which is not this function's call.
-    """
-    mat = as_square_matrix(matrix)
-    try:
-        singulars = np.linalg.svd(mat, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"singular value decomposition failed: {exc}") from exc
-    largest = float(singulars[0])
-    smallest = float(singulars[-1])
-    if largest == 0.0 or smallest < INVERT_RTOL * largest:
+def spd_eig(values, name: str = "matrix") -> tuple[np.ndarray, np.ndarray]:
+    """``herm_eig`` of a real symmetric positive-definite matrix. Asymmetry
+    beyond DEFAULT_TOL times the max-norm, or an eigenvalue below -PSD_RTOL
+    times max(1, max|eigenvalue|), is invalid input; a smallest eigenvalue
+    below INVERT_RTOL times the largest is singular: no pseudo-inverse."""
+    mat = require_hermitian(as_square_matrix(values, name, float), name, DEFAULT_TOL).real
+    eigenvalues, vectors = herm_eig(mat, name)
+    smallest, largest = float(eigenvalues[0]), float(eigenvalues[-1])
+    if smallest < -PSD_RTOL * max(1.0, largest, -smallest):
+        raise ValidationError(f"{name} is not positive semidefinite: min eigenvalue {smallest:.3e}")
+    if largest <= 0.0 or smallest < INVERT_RTOL * largest:
         raise NumericError(
             f"matrix is singular to tolerance {INVERT_RTOL:g}: smallest singular value "
             f"{smallest:.6e} vs largest {largest:.6e}"
         )
-    try:
-        return np.linalg.inv(mat)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by the SVD gate
-        raise NumericError(f"inversion failed: {exc}") from exc
+    return eigenvalues, vectors
 
 
-def spectral_radius(matrix) -> float:
-    """Largest eigenvalue modulus of a square matrix. This never exceeds the
-    spectral norm and can fall far below it for a non-normal matrix."""
-    mat = as_square_matrix(matrix)
-    try:
-        eigenvalues = np.linalg.eigvals(mat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigenvalue computation failed: {exc}") from exc
-    return float(np.max(np.abs(eigenvalues)))
+def invert(matrix) -> np.ndarray:
+    """Inverse of a symmetric positive-definite matrix, gated as ``spd_eig``."""
+    eigenvalues, vectors = spd_eig(matrix)
+    return (vectors / eigenvalues) @ vectors.T

@@ -8,6 +8,7 @@ never a hang.
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,3 +145,14 @@ def test_array_inputs_return_or_raise_validation_error(index):
                 pass
             except Exception as exc:
                 raise AssertionError(f"{parameter} given {malformed}: {exc!r}") from exc
+
+
+# A bool among numbers is read by numpy as 0 or 1, so only a walk over the
+# entries can refuse it; each parameter gets one as a Python and a numpy bool.
+@pytest.mark.parametrize("parameter", sorted(PARAMETERS))
+def test_bool_entry_raises_validation_error(parameter):
+    valid, call = PARAMETERS[parameter]
+    for index in range(np.asarray(valid).size):
+        for leaf in (True, np.False_):
+            with pytest.raises(ValidationError, match="got a bool entry"):
+                call(_with_leaf(valid, index, leaf))

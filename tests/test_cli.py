@@ -495,7 +495,7 @@ def test_bad_povm_exits_2_before_any_output(tmp_path, capsys, command):
     assert main([command, "--scenario", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: povm effects do not sum to the identity\n"
+    assert captured.err == "error: povm[0] exceeds the identity: max eigenvalue 5.000e+00\n"
 
 
 SHIPPED = {path.stem: json.loads(path.read_text()) for path in sorted(SCENARIO_DIR.glob("*.json"))}

@@ -6,6 +6,7 @@ import pytest
 
 import qfisher.distill
 from qfisher import (
+    DistillationPlan,
     EncodingCircuit,
     NumericError,
     ValidationError,
@@ -93,6 +94,25 @@ def test_postselect_matches_dense_kraus_for_inexact_guess():
             dense_prob = float(np.real(np.vdot(filtered, filtered)))
             assert prob == pytest.approx(dense_prob, rel=1e-12, abs=0.0)
             assert np.max(np.abs(state - filtered / np.sqrt(dense_prob))) < 1e-12
+
+
+def test_postselect_checks_its_plan():
+    circuit = reference_circuit()
+    theta = np.array([0.3, 0.5])
+    with pytest.raises(ValidationError, match="^plan must be a DistillationPlan, got 'plan'$"):
+        postselect(circuit, theta, "plan")
+    bad = [
+        (DistillationPlan(2.0, theta, evolve(circuit, theta)), "plan.transmissivity must lie"),
+        (DistillationPlan(0.5, theta, np.array([2.0, 0.0])), "plan.guess_state is not normalized"),
+        (DistillationPlan(0.5, theta, np.ones(3) / math.sqrt(3.0)), "plan.guess_state must have"),
+    ]
+    for plan, message in bad:
+        with pytest.raises(ValidationError, match="^" + message):
+            postselect(circuit, theta, plan)
+    # the checked guess is the one applied: a list works as its array does
+    listed = postselect(circuit, theta, DistillationPlan(0.5, theta, [1.0, 0.0]))
+    arrayed = postselect(circuit, theta, DistillationPlan(0.5, theta, np.array([1.0 + 0j, 0.0])))
+    assert np.array_equal(listed[0], arrayed[0]) and listed[1] == arrayed[1]
 
 
 def test_guess_state_off_the_unit_sphere_is_rejected(monkeypatch):

@@ -17,7 +17,9 @@ from qfisher import (
     uhlmann_curvature,
     validate_povm,
 )
-from qfisher.fisher import qfim_from_tensor
+from qfisher.estimator import crb_comparison
+from qfisher.fisher import curvature_from_tensor, qfim_from_tensor, require_effect
+from qfisher.kirkwood import analyze_pair
 
 from helpers import (
     SIGMA_X,
@@ -25,6 +27,7 @@ from helpers import (
     random_circuit,
     random_projective_povm,
     random_smeared_effect,
+    random_unitary,
     reference_circuit,
     reference_qfim,
     sic_povm,
@@ -86,7 +89,7 @@ def test_validate_povm_rejects_bad_sets():
     with pytest.raises(ValidationError, match="identity"):
         validate_povm((eye,  eye))
     with pytest.raises(ValidationError, match="positive"):
-        validate_povm((2.0 * eye, -eye))
+        validate_povm((-eye, 2.0 * eye))
     with pytest.raises(ValidationError):
         validate_povm(())
 
@@ -140,6 +143,61 @@ def test_learnability_interval_refuses_a_count_too_large_for_a_float():
     assert learnability_interval(np.eye(2), trials=largest)[0] == 2.0 / sys.float_info.max
     with pytest.raises(ValidationError, match=r"^trials must be at most 1\.79\d*e\+308, got 10*$"):
         learnability_interval(np.eye(2), trials=10**400)
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1.0, 0.5], [0.0, 1.0]], "is not Hermitian"),
+        ([[1.0, 5.0], [5.0, 1.0]], "is not positive semidefinite: min eigenvalue -4"),
+    ],
+)
+def test_information_matrix_must_be_symmetric_positive(matrix, message):
+    curvature = np.array([[0.0, 0.1], [-0.1, 0.0]])
+    with pytest.raises(ValidationError, match="^fim " + message):
+        learnability_interval(matrix)
+    with pytest.raises(ValidationError, match="^qfim " + message):
+        geometric_quantumness(matrix, curvature)
+
+
+def test_geometric_quantumness_requires_antisymmetric_curvature():
+    with pytest.raises(ValidationError, match="^curvature is not antisymmetric"):
+        geometric_quantumness(np.eye(2), np.array([[0.0, 0.1], [0.1, 0.0]]))
+    with pytest.raises(ValidationError, match="^curvature is not antisymmetric"):
+        geometric_quantumness(np.eye(2), np.array([[0.2, 0.1], [-0.1, 0.0]]))
+    # The tolerance scales with the QFIM: a curvature that is pure roundoff
+    # against it passes, however asymmetric relative to its own entries.
+    roundoff = np.array([[1e-15, 3e-15], [-2e-15, 0.0]])
+    assert geometric_quantumness(4.0 * np.eye(2), roundoff) < 1e-14
+
+
+def _split_basis_povm(rng, dim, outcomes):
+    """A projective POVM whose effects project onto groups of random basis vectors."""
+    basis = random_unitary(rng, dim)
+    return [group @ group.conj().T for group in np.array_split(basis, outcomes, axis=1)]
+
+
+@pytest.mark.parametrize("dim, n_params", [(4, 2), (8, 4), (32, 8), (128, 16)])
+def test_symmetric_readings_match_general_inverse_and_eigvals(dim, n_params):
+    """Risk, quantumness and CRB bound against NumPy's general-matrix inv and
+    eigvals on seeded dense circuits: the reference the factorisation replaced."""
+    rng = np.random.default_rng(1000 + dim)
+    circuit = random_circuit(rng, dim, n_params)
+    theta = rng.uniform(-math.pi, math.pi, n_params)
+    tensor = geometric_tensor(circuit, theta)
+    qfim, curvature = qfim_from_tensor(tensor), curvature_from_tensor(tensor)
+    weight = np.diag(rng.uniform(0.5, 2.0, n_params))
+    lower, _ = learnability_interval(qfim, weight, trials=7)
+    expected = float(np.trace(weight @ np.linalg.inv(qfim))) / 7
+    assert lower == pytest.approx(expected, rel=1e-10, abs=0.0)
+    value = geometric_quantumness(qfim, curvature)
+    reference = float(np.max(np.abs(np.linalg.eigvals(1j * np.linalg.inv(qfim) @ curvature))))
+    assert value == pytest.approx(reference, rel=1e-10, abs=1e-14)
+    povm = _split_basis_povm(rng, dim, n_params + 2)
+    fim = classical_fim(circuit, theta, povm)
+    bound = crb_comparison(rng.normal(theta, 0.1, (3, n_params)), circuit, theta, povm, 50).bound
+    inverse = np.linalg.inv(50 * fim)
+    assert np.max(np.abs(bound - inverse)) <= 1e-10 * np.max(np.abs(inverse))
 
 
 def test_learnability_interval_rejects_singular_fim():
@@ -202,6 +260,23 @@ def test_postselected_tensor_requires_valid_effect():
         postselected_geometric_tensor(circuit, [0.1, 0.2], -np.eye(2))
     with pytest.raises(ValidationError):
         postselected_geometric_tensor(circuit, [0.1, 0.2], np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_effect_above_the_identity_is_refused():
+    circuit = reference_circuit()
+    with pytest.raises(ValidationError, match="exceeds the identity: max eigenvalue 3"):
+        postselected_geometric_tensor(circuit, [0.1, 0.2], 3.0 * np.eye(2))
+    with pytest.raises(ValidationError, match="exceeds the identity: max eigenvalue 2"):
+        analyze_pair(circuit, [0.1, 0.2], (0, 1), 2.0 * np.eye(2))
+    with pytest.raises(ValidationError, match=r"^povm\[0\] exceeds the identity: max eigenvalue 5"):
+        validate_povm([np.diag([5.0, 0.0]), np.zeros((2, 2))])
+    # the top of a projector is 1 up to roundoff
+    tensor, prob = postselected_geometric_tensor(circuit, [0.1, 0.2], np.diag([1.0 + 1e-12, 0.0]))
+    assert 0.0 < prob <= 1.0
+    # a 1 x 1 effect has one eigenvalue, both the floor's and the ceiling's
+    assert require_effect([[1.0]])[0, 0] == 1.0
+    with pytest.raises(ValidationError, match="exceeds the identity"):
+        require_effect([[1.5]])
 
 
 def test_random_effect_probability_and_psd():

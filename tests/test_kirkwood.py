@@ -328,14 +328,9 @@ def test_negativity_flags_negative_and_imaginary():
     assert not _negativity(np.array([[1.0, 0.0], [0.0, 2e-9j]]))[1]
 
 
-def test_entry_within_negativity_budget():
-    """|entry| <= (S + S^2) spread_i spread_j <= (1 + 2N)(2 + 2N) spread_i spread_j.
-
-    S is the sum of |q| over the conditioned table and N its total
-    negativity. With centred spectra each |a| is at most half its spread, so
-    the correlation term is at most S/4 and each mean at most S/2 of the
-    spreads; and S <= 1 + 2N, since the real parts sum to 1.
-    """
+def _budget_pairs():
+    """200 seeded pairs, D 2-8 and M 1-3: odd ones under smeared effects, even
+    ones under plan effects at t = 10^U(-3, 0) with guess error N(0, 0.05)."""
     rng = np.random.default_rng(8)
     for k in range(200):
         dim, n_params = int(rng.integers(2, 9)), int(rng.integers(1, 4))
@@ -347,7 +342,20 @@ def test_entry_within_negativity_budget():
         else:
             guess = theta + rng.normal(0.0, 0.05, n_params)
             effect = kraus_from_estimate(circuit, guess, 10.0 ** rng.uniform(-3.0, 0.0)).effect
-        result = analyze_pair(circuit, theta, pair, effect)
+        yield analyze_pair(circuit, theta, pair, effect)
+
+
+def test_entry_within_negativity_budget(monkeypatch):
+    """|entry| <= (S + S^2) spread_i spread_j <= (1 + 2N)(2 + 2N) spread_i spread_j.
+
+    S is the sum of |q| over the conditioned table and N its total
+    negativity. With centred spectra each |a| is at most half its spread, so
+    the correlation term is at most S/4 and each mean at most S/2 of the
+    spreads; and S <= 1 + 2N, since the real parts sum to 1. ``consistent``
+    holds on every pair, and an entry four times too large breaks it on
+    nonclassical pairs, which only the negativity budget can catch.
+    """
+    for result in _budget_pairs():
         size = float(np.sum(np.abs(result.conditioned)))
         negativity = result.total_negativity
         spreads = result.spread_i * result.spread_j
@@ -355,6 +363,10 @@ def test_entry_within_negativity_budget():
         assert abs(result.entry) <= budget * (1.0 + 1e-9)
         ceiling = (1.0 + 2.0 * negativity) * (2.0 + 2.0 * negativity) * spreads
         assert budget <= ceiling * (1.0 + 1e-9)
+        assert result.consistent
+    entry = kirkwood._entry
+    monkeypatch.setattr(kirkwood, "_entry", lambda *args: 4.0 * entry(*args))
+    assert any(not (result.consistent or result.classical) for result in _budget_pairs())
 
 
 def test_consistency_check_truth_table(monkeypatch):
@@ -373,6 +385,9 @@ def test_consistency_check_truth_table(monkeypatch):
         # the relative slack CLASSICALITY_TOL = 1e-9 on the bound
         (4.0 * (1.0 + 1e-10), True, True),
         (4.0 * (1.0 + 1e-8), True, False),
+        # at N = 0 the negativity budget (1 + 2N)(2 + 2N) caps any entry at 8
+        (8.0 * (1.0 + 1e-10), False, True),
+        (8.0 * (1.0 + 1e-8), False, False),
     ]
     for entry, classical, consistent in cases:
         monkeypatch.setattr(kirkwood, "_entry", lambda *args: entry)

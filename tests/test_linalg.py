@@ -13,7 +13,7 @@ from qfisher.linalg import (
     herm_eig,
     invert,
     require_hermitian,
-    spectral_radius,
+    spd_eig,
 )
 
 finite = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, allow_infinity=False)
@@ -93,9 +93,9 @@ def test_herm_eig_sorted_and_reconstructs(raw):
 
 
 @settings(deadline=None, derandomize=True, max_examples=40)
-@given(square_complex(3))
+@given(arrays(np.float64, (3, 3), elements=finite))
 def test_invert_round_trip(raw):
-    mat = raw + 10.0 * np.eye(3)  # push well away from singular
+    mat = raw @ raw.T + np.eye(3)  # symmetric, eigenvalues at least 1
     inv = invert(mat)
     assert np.max(np.abs(mat @ inv - np.eye(3))) < 1e-8
 
@@ -103,16 +103,36 @@ def test_invert_round_trip(raw):
 def test_invert_rejects_singular():
     with pytest.raises(NumericError, match="singular"):
         invert(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    with pytest.raises(NumericError, match="singular"):
+        invert(np.zeros((2, 2)))
 
 
-def test_spectral_radius_known_values():
-    assert spectral_radius(np.diag([3.0, -7.0])) == pytest.approx(7.0)
-    rot = np.array([[0.0, -2.0], [2.0, 0.0]])  # eigenvalues +-2i
-    assert spectral_radius(rot) == pytest.approx(2.0)
-    # Non-normal: both eigenvalues are 1, while the spectral norm is about 10.1.
-    shear = np.array([[1.0, 10.0], [0.0, 1.0]])
-    assert spectral_radius(shear) == pytest.approx(1.0)
-    assert np.linalg.norm(shear, 2) > 10.0
+def test_spd_eig_counts_roundoff_negative_eigenvalues_as_singular():
+    # fisher.qfim_from_tensor accepts a smallest eigenvalue down to -PSD_RTOL
+    # times max(1, max|eigenvalue|); spd_eig calls such a matrix singular.
+    rotation = np.array([[0.6, -0.8], [0.8, 0.6]])
+    for eigenvalues in ([1.0, -5e-10], [1e-3, -5e-10], [0.0, -1e-20]):
+        with pytest.raises(NumericError, match="^matrix is singular to tolerance 1e-12"):
+            spd_eig(rotation @ np.diag(eigenvalues) @ rotation.T, "fim")
+
+
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        ([[1.0, 2.0], [0.0, 1.0]], "not Hermitian"),
+        ([[1.0, 5.0], [5.0, 1.0]], "not positive semidefinite"),
+        ([[-1e-8]], "not positive semidefinite"),
+    ],
+)
+def test_spd_eig_refuses_asymmetric_or_indefinite(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        spd_eig(matrix, "fim")
+
+
+def test_spd_eig_tolerates_roundoff_below_the_tolerance():
+    eigenvalues, vectors = spd_eig([[2.0, 1.0 + 1e-12], [1.0, 2.0]])
+    assert eigenvalues == pytest.approx([1.0, 3.0])
+    assert np.allclose((vectors * eigenvalues) @ vectors.T, [[2.0, 1.0], [1.0, 2.0]])
 
 
 def test_errors_share_the_package_base():

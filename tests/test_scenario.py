@@ -354,9 +354,10 @@ def test_weight_checked_at_load(weight, message):
 @pytest.mark.parametrize(
     "effect, message",
     [
-        ([[5.0, 0.0], [0.0, 0.0]], "povm effects do not sum to the identity"),
+        ([[0.0, 0.0], [0.0, 0.0]], "povm effects do not sum to the identity"),
         ([[1.5, 0.0], [0.0, -0.5]], "povm[0] is not positive semidefinite"),
         ([[0.5, 0.5], [0.0, 0.5]], "povm[0] is not Hermitian"),
+        ([[5.0, 0.0], [0.0, 0.0]], "povm[0] exceeds the identity: max eigenvalue 5.000e+00"),
     ],
 )
 def test_povm_checked_at_load(effect, message):
