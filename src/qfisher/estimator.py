@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import EncodingCircuit, _check_int, _check_real, _sweep, as_param_vector, evolve
+from .circuit import EncodingCircuit, _check_int, _check_real, _sweep, as_param_vector
+from .circuit import evolve, tangent_frame
 from .errors import NumericError, ValidationError
 from .fisher import MAX_FLOAT_TRIALS, PROBABILITY_FLOOR, _CheckedPovm, _effects
 from .fisher import _outcome_slopes, classical_fim, validate_povm
@@ -63,9 +64,8 @@ def sample_outcomes(probs, trials, seed) -> SampleBatch:
     rng = np.random.default_rng(seed)
     draws = rng.random(trials)
     edges = np.cumsum(probs)
-    edges[-1] = 1.0
+    edges[-1] = 1.0  # draws lie in [0, 1), so every index is below probs.size
     indices = np.searchsorted(edges, draws, side="right")
-    indices = np.clip(indices, 0, probs.size - 1)
     counts = np.bincount(indices, minlength=probs.size)
     return SampleBatch(seed=seed, trials=trials, counts=counts)
 
@@ -115,7 +115,7 @@ def mle_fit(
     best = objective(theta)
     prior, tie = np.inf, 64.0 * np.finfo(float).eps
     for iteration in range(MLE_MAX_ITERATIONS):
-        probs, slopes = _outcome_slopes(effects, circuit, theta)
+        probs, slopes = _outcome_slopes(effects, *tangent_frame(circuit, theta))
         weighted = slopes.T / np.maximum(probs, PROBABILITY_FLOOR)
         info, score = counts.sum() * weighted @ slopes, weighted @ counts
         # Roundoff of the log-likelihood, at least eps per count: smaller changes are ties.

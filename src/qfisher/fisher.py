@@ -20,7 +20,8 @@ from .linalg import DEFAULT_TOL, PSD_RTOL, as_array, require_hermitian, spd_eig
 
 # Outcomes with probability below this floor are dropped from Fisher sums.
 PROBABILITY_FLOOR = 1e-12
-# Probability slope above which a dropped outcome signals a divergent FIM.
+# Probability slope, relative to the largest projected tangent norm, above
+# which a dropped outcome signals a divergent FIM.
 DIVERGENT_SLOPE_TOL = 1e-8
 # Success probability below this floor aborts postselected quantities.
 POSTSELECTION_PROB_FLOOR = 1e-12
@@ -78,9 +79,8 @@ def _effects(povm, dim: int) -> np.ndarray:
     return povm.view(np.ndarray) if isinstance(povm, _CheckedPovm) else validate_povm(povm, dim)
 
 
-def _outcome_slopes(effects: np.ndarray, circuit: EncodingCircuit, theta):
+def _outcome_slopes(effects: np.ndarray, state: np.ndarray, tangents: np.ndarray):
     """Outcome probabilities <psi|F_k|psi> and their theta-slopes from one tangent frame."""
-    state, tangents = tangent_frame(circuit, theta)
     weighted = effects @ state
     return np.real(weighted @ state.conj()), 2.0 * np.real(weighted.conj() @ tangents)
 
@@ -178,14 +178,19 @@ def classical_fim(circuit: EncodingCircuit, theta, povm) -> np.ndarray:
 
     Probabilities are p(k|theta) = <psi|F_k|psi> with analytic slopes from
     the tangent vectors. Outcomes below PROBABILITY_FLOOR are dropped; if a
-    dropped outcome still has slope above DIVERGENT_SLOPE_TOL the true FIM
+    dropped outcome still has slope above DIVERGENT_SLOPE_TOL times the
+    largest norm of the tangents projected off the state (which scales with
+    the generators, as slopes do, and ignores a global phase) the true FIM
     diverges there and a DivergentInformationWarning is emitted.
     """
-    probs, slopes = _outcome_slopes(_effects(povm, circuit.dim), circuit, theta)
+    state, tangents = tangent_frame(circuit, theta)
+    probs, slopes = _outcome_slopes(_effects(povm, circuit.dim), state, tangents)
     kept = probs >= PROBABILITY_FLOOR
+    projected = tangents - np.outer(state, state.conj() @ tangents)
+    tol = DIVERGENT_SLOPE_TOL * float(np.max(np.linalg.norm(projected, axis=0)))
     for k in np.flatnonzero(~kept):
         steepest = float(np.max(np.abs(slopes[k])))
-        if steepest > DIVERGENT_SLOPE_TOL:
+        if steepest > tol:
             warnings.warn(
                 f"outcome {k} has probability {probs[k]:.3e} but slope "
                 f"{steepest:.3e}; Fisher information diverges",

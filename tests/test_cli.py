@@ -196,6 +196,22 @@ def test_sweep_bad_t_list(capsys):
     assert "abc" in capsys.readouterr().err
 
 
+def test_sweep_empty_t_list(capsys):
+    assert main(["sweep", "--scenario", REFERENCE, "--t-list", ","]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --t-list is empty\n"
+
+
+def test_scenario_that_is_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "array.json"
+    path.write_text("[1, 2]")
+    assert main(["qfim", "--scenario", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: scenario must be a JSON object, got list\n"
+
+
 def test_reference_example_default_passes(capsys):
     assert main(["paper-example"]) == 0
     out = capsys.readouterr().out
@@ -240,6 +256,62 @@ def test_reference_example_builds_one_filter(monkeypatch, capsys):
     assert main(["paper-example"]) == 0
     assert "overall: PASS" in capsys.readouterr().out
     assert len(calls) == 1
+
+
+def _stdout_lines(argv, capsys) -> list[str]:
+    main(argv)
+    return capsys.readouterr().out.splitlines()
+
+
+def test_reference_example_prints_the_distill_and_kd_blocks(capsys):
+    # The built-in circuit is the shipped reference scenario's, so the
+    # example's report and KD blocks are the distill and kd outputs on it.
+    example = _stdout_lines(["paper-example"], capsys)
+    distill = _stdout_lines(["distill", "--scenario", REFERENCE], capsys)
+    kd = _stdout_lines(["kd", "--scenario", REFERENCE], capsys)
+    checks = [line for line in example if line.startswith(("check ", "overall: "))]
+    assert example[len(distill) + len(kd) :] == checks
+    report, pair = example[: len(distill)], example[len(distill) : len(distill) + len(kd)]
+    assert pair == kd
+
+    def split(lines):
+        risks = [line for line in lines if line.startswith(("risk_before: ", "risk_after: "))]
+        return [line for line in lines if line not in risks], risks
+
+    (report_rest, report_risks), (distill_rest, distill_risks) = split(report), split(distill)
+    assert report_rest == distill_rest
+    # The scenario sets trials 10000 and an identity weight; the example uses 1 trial.
+    assert [line.split()[0] for line in report_risks] == ["risk_before:", "risk_after:"]
+    for mine, theirs in zip(report_risks, distill_risks):
+        assert mine.endswith(" (trials 1)") and theirs.endswith(" (trials 10000)")
+        assert math.isclose(float(mine.split()[1]), 1e4 * float(theirs.split()[1]), rel_tol=1e-12)
+
+
+def test_reference_example_reads_its_risk_off_the_report(monkeypatch, capsys):
+    calls = []
+    original = qfisher.distill.learnability_interval
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qfisher.distill, "learnability_interval", counting)
+    monkeypatch.setattr(qfisher.cli, "learnability_interval", counting)
+    assert main(["paper-example"]) == 0
+    assert "risk_before: 1 (trials 1)" in capsys.readouterr().out
+    assert len(calls) == 2  # the report's before and after brackets
+
+
+def test_reference_example_failed_check_still_prints(capsys):
+    # A failed check is a completed run: exit 1, with the whole stdout written.
+    assert main(["paper-example", "--t", "0.05"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert lines[0] == "transmissivity: 0.05"
+    failed = "check FAIL: postselected qfim within 25% of boost prediction (worst entry dev 0.909)"
+    assert failed in lines
+    assert lines[-1] == "overall: FAIL"
+    assert captured.err == ""
 
 
 def test_reference_example_failing_after_its_report_prints_nothing(monkeypatch, capsys):

@@ -122,6 +122,20 @@ def test_classical_fim_warns_on_divergent_outcome():
         classical_fim(single, [1e-7], basis)
 
 
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_classical_fim_divergence_warning_ignores_generator_scale(scale):
+    # A -> cA, theta -> theta/c gives the same state with p_0 = 9e-14 and
+    # slopes c times as large: the dropped outcome must warn at every c.
+    from qfisher import EncodingCircuit
+
+    circuit = EncodingCircuit((scale * SIGMA_X,), np.array([1.0, 0.0], dtype=complex))
+    basis = (np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex))
+    with pytest.warns(DivergentInformationWarning, match="^outcome 0 has probability 9.000e-14"):
+        classical_fim(circuit, [(math.pi / 2 - 3e-7) / scale], basis)
+    # At theta = 0 the dropped outcome 1 is stationary: no warning at any c.
+    assert classical_fim(circuit, [0.0], basis)[0, 0] == 0.0
+
+
 def test_learnability_interval_identity_weight():
     lower, _ = learnability_interval(np.diag([4.0, 2.0]))
     assert lower == pytest.approx(0.25 + 0.5)

@@ -34,7 +34,7 @@ def _cases() -> dict:
     cases = {
         "paper-example": (["paper-example"], False),
         "paper-example-t1-theta0.3": (["paper-example", "--t", "1", "--theta1", "0.3"], False),
-        # A singular QFIM: the report prints "risk unavailable: ..." and exits 0.
+        # A singular QFIM: both risks read "unavailable (singular ...)"; exits 0.
         "paper-example-theta0": (["paper-example", "--theta1", "0"], False),
     }
     for name in SCENARIOS:

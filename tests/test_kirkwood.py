@@ -369,6 +369,30 @@ def test_entry_within_negativity_budget(monkeypatch):
     assert any(not (result.consistent or result.classical) for result in _budget_pairs())
 
 
+def test_boost_needs_negativity_growing_like_one_over_t():
+    """Along a t sweep with a near-perfect guess the entry r times the
+    classical bound grows like 1/t^2; since r <= S + S^2 the table needs
+    S >= (sqrt(1 + 4r) - 1)/2, a budget that grows like 1/t, and the table
+    meets it at every t."""
+    circuit = reference_circuit()
+    theta = np.array([math.pi / 4.0, math.pi / 4.0])
+    guess = theta + 1e-5 * np.array([1.0, -1.0])
+    boosts, needs = [], []
+    for t in (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 0.001):
+        plan = kraus_from_estimate(circuit, guess, t)
+        result = analyze_pair(circuit, theta, (0, 1), plan.effect)
+        ratio = abs(result.entry) / (result.spread_i * result.spread_j)
+        need = (math.sqrt(1.0 + 4.0 * ratio) - 1.0) / 2.0
+        assert result.consistent
+        assert float(np.sum(np.abs(result.conditioned))) >= need
+        boosts.append(ratio * t**2)
+        needs.append(need * t)
+    assert boosts[0] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-6)
+    assert np.allclose(boosts, boosts[0], rtol=0.01, atol=0.0)
+    assert 0.45 <= min(needs) and max(needs) <= 0.85
+    assert needs[0] == pytest.approx(0.478, abs=1e-3) and needs[-1] == pytest.approx(0.840, abs=1e-3)
+
+
 def test_consistency_check_truth_table(monkeypatch):
     """The verdict on the reference pair, whose covariance bound is 4, with
     its entry and classicality replaced."""
